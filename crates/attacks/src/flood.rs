@@ -133,7 +133,7 @@ impl Device for MacFlooder {
 mod tests {
     use super::*;
     use arpshield_netsim::{SimTime, Simulator, Switch, SwitchConfig};
-    use arpshield_packet::EthernetFrame;
+    use arpshield_packet::EthernetView;
 
     #[test]
     fn flood_fills_cam_and_respects_total() {
@@ -197,9 +197,9 @@ mod tests {
         let trace = sim.trace().unwrap();
         assert!(!trace.is_empty());
         for frame in trace.frames() {
-            let eth = EthernetFrame::parse(&frame.bytes).unwrap();
-            assert!(eth.src.is_unicast());
-            assert!(eth.src.is_locally_administered());
+            let src = EthernetView::parse_strict(&frame.bytes).unwrap().src();
+            assert!(src.is_unicast());
+            assert!(src.is_locally_administered());
         }
     }
 }

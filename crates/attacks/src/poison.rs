@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
-use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr};
 
 use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
 
@@ -229,13 +229,13 @@ impl Device for ArpPoisoner {
         if self.config.variant != PoisonVariant::ReplyToRequestRace {
             return;
         }
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
-        if eth.ethertype != EtherType::ARP {
+        if eth.ethertype() != EtherType::ARP {
             return;
         }
-        let Ok(arp) = ArpPacket::parse(&eth.payload) else {
+        let Ok(arp) = ArpPacket::parse(eth.payload()) else {
             return;
         };
         // A genuine broadcast request for the victim IP from someone else:

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
 use arpshield_packet::{
-    DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, IpProtocol, Ipv4Addr, Ipv4Emit,
+    DhcpMessage, DhcpMessageType, EtherType, EthernetView, IpProtocol, Ipv4Addr, Ipv4Emit,
     Ipv4Packet, MacAddr, UdpDatagram, UdpEmit, DHCP_CLIENT_PORT, DHCP_SERVER_PORT,
 };
 
@@ -124,13 +124,13 @@ impl Device for RogueDhcpServer {
         if !self.active {
             return;
         }
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
-        if eth.ethertype != EtherType::Ipv4 {
+        if eth.ethertype() != EtherType::Ipv4 {
             return;
         }
-        let Ok(pkt) = Ipv4Packet::parse(&eth.payload) else {
+        let Ok(pkt) = Ipv4Packet::parse(eth.payload()) else {
             return;
         };
         if pkt.protocol != IpProtocol::Udp {

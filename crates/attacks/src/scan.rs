@@ -11,7 +11,7 @@
 use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
-use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, Ipv4Cidr, MacAddr};
+use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, Ipv4Cidr, MacAddr};
 
 use crate::ground_truth::{AttackEvent, AttackKind, GroundTruth};
 
@@ -105,13 +105,13 @@ impl Device for ArpScanner {
     }
 
     fn on_frame(&mut self, _ctx: &mut DeviceCtx<'_>, _port: PortId, frame: &[u8]) {
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
-        if eth.ethertype != EtherType::ARP || eth.dst != self.config.attacker_mac {
+        if eth.ethertype() != EtherType::ARP || eth.dst() != self.config.attacker_mac {
             return;
         }
-        let Ok(arp) = ArpPacket::parse(&eth.payload) else {
+        let Ok(arp) = ArpPacket::parse(eth.payload()) else {
             return;
         };
         if arp.op == ArpOp::Reply

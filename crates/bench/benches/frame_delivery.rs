@@ -1,14 +1,16 @@
 //! Per-frame delivery cost on broadcast-heavy topologies — the hot path
 //! the shared-`Frame` substrate work targets.
 //!
-//! Three workloads: a 16-port hub repeating every ingress frame to 15
-//! egress ports, a 16-port switch flooding broadcasts, and a VLAN-aware
+//! Four workloads: a 16-port hub repeating every ingress frame to 15
+//! egress ports, a 16-port switch flooding broadcasts, a VLAN-aware
 //! switch flooding across mixed access/trunk ports (each ingress frame
-//! is re-tagged at most once, then shared). Alongside the timed records
-//! this bench counts heap allocations per delivered frame (via a
-//! counting global allocator) and writes them to
-//! `results/bench/frame_delivery_allocs.json`, so the allocation
-//! trajectory is tracked the same way the latency trajectory is.
+//! is re-tagged at most once, then shared), and the hub delivering ARP
+//! requests into 15 host stacks (the host RX path every paper experiment
+//! runs). Alongside the timed records this bench counts heap
+//! allocations per delivered frame (via a counting global allocator)
+//! and writes them to `results/bench/frame_delivery_allocs.json`, so the
+//! allocation trajectory is tracked the same way the latency trajectory
+//! is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
@@ -16,11 +18,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use arpshield_host::{Host, HostConfig};
 use arpshield_netsim::{
-    eth_frame, Device, DeviceCtx, Hub, PortId, PortVlan, SimTime, Simulator, Switch, SwitchConfig,
-    VlanSet,
+    eth_frame, Device, DeviceCtx, Frame, Hub, PortId, PortVlan, SimTime, Simulator, Switch,
+    SwitchConfig, VlanSet,
 };
-use arpshield_packet::{EtherType, MacAddr};
+use arpshield_packet::{ArpPacket, EtherType, Ipv4Addr, Ipv4Cidr, MacAddr};
 use arpshield_testkit::{json, Criterion, Throughput};
 
 struct CountingAlloc;
@@ -48,12 +51,30 @@ const FRAMES: u64 = 64;
 /// allocates nothing per frame.
 struct Blaster {
     remaining: u64,
+    frame: fn() -> Frame,
 }
 
 impl Blaster {
     fn new() -> Self {
-        Blaster { remaining: FRAMES }
+        Blaster { remaining: FRAMES, frame: opaque_broadcast }
     }
+}
+
+fn opaque_broadcast() -> Frame {
+    eth_frame(
+        MacAddr::BROADCAST,
+        MacAddr::from_index(1),
+        EtherType::Other(0x1234),
+        [0xAB; 242].as_slice(),
+    )
+}
+
+/// A broadcast ARP request for an address no host owns: every host
+/// parses and inspects it, none answers or learns from it.
+fn arp_request_for_unowned_ip() -> Frame {
+    let sender = MacAddr::from_index(1);
+    let arp = ArpPacket::request(sender, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 200));
+    eth_frame(MacAddr::BROADCAST, sender, EtherType::ARP, &arp)
 }
 
 impl Device for Blaster {
@@ -67,15 +88,7 @@ impl Device for Blaster {
         ctx.schedule_in(Duration::from_micros(1), 0);
     }
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, _token: u64) {
-        ctx.send(
-            PortId(0),
-            eth_frame(
-                MacAddr::BROADCAST,
-                MacAddr::from_index(1),
-                EtherType::Other(0x1234),
-                [0xAB; 242].as_slice(),
-            ),
-        );
+        ctx.send(PortId(0), (self.frame)());
         self.remaining -= 1;
         if self.remaining > 0 {
             ctx.schedule_in(Duration::from_micros(1), 0);
@@ -115,6 +128,28 @@ fn run_hub_broadcast() -> (u64, u64) {
     for p in 1..PORTS as u16 {
         let s = sim.add_device(Box::new(Sink));
         sim.connect(s, PortId(0), hub, PortId(p), Duration::from_micros(1)).unwrap();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    sim.run_until(SimTime::from_secs(1));
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    (allocs, sim.wire_stats().frames)
+}
+
+/// The hub broadcast with 15 static hosts as the receivers: the count
+/// covers the host stack's RX parse and ARP handling.
+fn run_hub_host_arp_rx() -> (u64, u64) {
+    let mut sim = Simulator::new(1);
+    let hub = sim.add_device(Box::new(Hub::new("hub", PORTS)));
+    let blaster = Blaster { remaining: FRAMES, frame: arp_request_for_unowned_ip };
+    let src = sim.add_device(Box::new(blaster));
+    sim.connect(src, PortId(0), hub, PortId(0), Duration::from_micros(1)).unwrap();
+    let subnet = Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 0), 24);
+    for p in 1..PORTS as u16 {
+        let ip = Ipv4Addr::new(10, 0, 0, 1 + p as u8);
+        let mac = MacAddr::from_index(1 + u32::from(p));
+        let (host, _) = Host::new(HostConfig::static_ip(format!("h{p}"), mac, ip, subnet));
+        let h = sim.add_device(Box::new(host));
+        sim.connect(h, PortId(0), hub, PortId(p), Duration::from_micros(1)).unwrap();
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     sim.run_until(SimTime::from_secs(1));
@@ -171,6 +206,7 @@ fn bench_delivery(c: &mut Criterion) {
     group.bench_function("hub16/broadcast", |b| b.iter(run_hub_broadcast));
     group.bench_function("switch16/flood", |b| b.iter(run_switch_flood));
     group.bench_function("switch16/vlan_flood", |b| b.iter(run_switch_vlan_flood));
+    group.bench_function("hub16/host_arp_rx", |b| b.iter(run_hub_host_arp_rx));
     group.finish();
 }
 
@@ -190,6 +226,7 @@ fn write_alloc_report() {
         ("hub16/broadcast", run_hub_broadcast as fn() -> (u64, u64)),
         ("switch16/flood", run_switch_flood),
         ("switch16/vlan_flood", run_switch_vlan_flood),
+        ("hub16/host_arp_rx", run_hub_host_arp_rx),
     ] {
         let (allocs, frames) = measure_allocs(workload);
         let mut obj = BTreeMap::new();

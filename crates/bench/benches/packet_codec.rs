@@ -4,8 +4,8 @@ use arpshield_testkit::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use arpshield_packet::{
-    ArpPacket, DhcpMessage, EtherType, EthernetEmit, EthernetFrame, IpProtocol, Ipv4Addr, Ipv4Emit,
-    Ipv4Packet, MacAddr, UdpDatagram, UdpEmit, WireEmit,
+    ArpPacket, DhcpMessage, EtherType, EthernetEmit, EthernetFrame, EthernetView, IpProtocol,
+    Ipv4Addr, Ipv4Emit, Ipv4Packet, MacAddr, UdpDatagram, UdpEmit, WireEmit,
 };
 
 fn arp_frame_bytes() -> Vec<u8> {
@@ -43,8 +43,8 @@ fn bench_codecs(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(arp_bytes.len() as u64));
     group.bench_function("parse_eth_arp", |b| {
         b.iter(|| {
-            let eth = EthernetFrame::parse(black_box(&arp_bytes)).unwrap();
-            ArpPacket::parse(&eth.payload).unwrap()
+            let eth = EthernetView::parse_strict(black_box(&arp_bytes)).unwrap();
+            ArpPacket::parse(eth.payload()).unwrap()
         })
     });
     group.bench_function("encode_eth_arp", |b| b.iter(|| black_box(arp_frame_bytes())));
@@ -53,8 +53,8 @@ fn bench_codecs(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(udp_bytes.len() as u64));
     group.bench_function("parse_eth_ipv4_udp", |b| {
         b.iter(|| {
-            let eth = EthernetFrame::parse(black_box(&udp_bytes)).unwrap();
-            let pkt = Ipv4Packet::parse(&eth.payload).unwrap();
+            let eth = EthernetView::parse_strict(black_box(&udp_bytes)).unwrap();
+            let pkt = Ipv4Packet::parse(eth.payload()).unwrap();
             UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst).unwrap()
         })
     });

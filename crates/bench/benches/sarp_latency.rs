@@ -6,7 +6,7 @@ use arpshield_testkit::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use arpshield_crypto::{hmac_sha256, sha256, Akd, KeyPair};
-use arpshield_packet::{ArpPacket, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield_packet::{ArpPacket, EthernetFrame, EthernetView, Ipv4Addr, MacAddr};
 
 fn bench_crypto(c: &mut Criterion) {
     let mut group = c.benchmark_group("sarp_crypto");
@@ -26,8 +26,8 @@ fn bench_crypto(c: &mut Criterion) {
     .encode();
     group.bench_function("baseline_inspect_arp", |b| {
         b.iter(|| {
-            let eth = EthernetFrame::parse(black_box(&frame)).unwrap();
-            ArpPacket::parse(&eth.payload).unwrap()
+            let eth = EthernetView::parse_strict(black_box(&frame)).unwrap();
+            ArpPacket::parse(eth.payload()).unwrap()
         })
     });
 

@@ -57,7 +57,7 @@ use arpshield_core::experiment::{
 };
 use arpshield_core::{taxonomy, Series, Table};
 use arpshield_netsim::SimTime;
-use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetFrame};
+use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetView};
 use arpshield_schemes::{Detector, SchemeKind};
 use arpshield_trace::pcapng::PcapngStream;
 use arpshield_trace::{profile, Heartbeat, ProfileCollector, TraceCollector, Tracer};
@@ -419,11 +419,11 @@ fn parse_frame_comment(comment: &str) -> (Option<u64>, String, String, String, b
 
 /// One-line protocol decode of a captured frame, via `crates/packet`.
 fn decode_frame(bytes: &[u8]) -> String {
-    let Ok(eth) = EthernetFrame::parse(bytes) else {
+    let Ok(eth) = EthernetView::parse_strict(bytes) else {
         return "unparseable ethernet frame".to_string();
     };
-    match eth.ethertype {
-        EtherType::ARP => match ArpPacket::parse(&eth.payload) {
+    match eth.ethertype() {
+        EtherType::ARP => match ArpPacket::parse(eth.payload()) {
             Ok(arp) => {
                 if arp.is_probe() {
                     format!("ARP probe who-has {} (from {})", arp.target_ip, arp.sender_mac)
@@ -435,11 +435,11 @@ fn decode_frame(bytes: &[u8]) -> String {
                     format!("ARP {} is-at {} (to {})", arp.sender_ip, arp.sender_mac, arp.target_ip)
                 }
             }
-            Err(_) => format!("malformed ARP from {}", eth.src),
+            Err(_) => format!("malformed ARP from {}", eth.src()),
         },
         // Authenticated variants carry scheme-specific payloads behind
         // the plain header; name the protocol and the endpoints.
-        other => format!("{other} {} -> {}", eth.src, eth.dst),
+        other => format!("{other} {} -> {}", eth.src(), eth.dst()),
     }
 }
 

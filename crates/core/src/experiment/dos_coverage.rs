@@ -178,9 +178,9 @@ fn scan_run(seed: u64, scheme: SchemeKind) -> DosRun {
         let trace = sim.trace().unwrap();
         let mut repliers = std::collections::HashSet::new();
         for f in trace.received_by(s) {
-            if let Ok(eth) = arpshield_packet::EthernetFrame::parse(&f.bytes) {
-                if eth.ethertype == arpshield_packet::EtherType::ARP {
-                    if let Ok(arp) = arpshield_packet::ArpPacket::parse(&eth.payload) {
+            if let Ok(eth) = arpshield_packet::EthernetView::parse_strict(&f.bytes) {
+                if eth.ethertype() == arpshield_packet::EtherType::ARP {
+                    if let Ok(arp) = arpshield_packet::ArpPacket::parse(eth.payload()) {
                         if arp.op == arpshield_packet::ArpOp::Reply {
                             repliers.insert(arp.sender_mac);
                         }

@@ -3,9 +3,9 @@
 
 use std::time::Duration;
 
-use arpshield_netsim::{eth_frame, DeviceCtx, PortId};
+use arpshield_netsim::{eth_frame, DeviceCtx, Frame, PortId};
 use arpshield_packet::{
-    ArpPacket, EtherType, EthernetFrame, IcmpMessage, Ipv4Addr, Ipv4Cidr, MacAddr, UdpDatagram,
+    ArpPacket, EtherType, EthernetView, IcmpMessage, Ipv4Addr, Ipv4Cidr, MacAddr, UdpDatagram,
 };
 
 use crate::arp::EntryOrigin;
@@ -44,19 +44,14 @@ pub trait HostHook {
     }
 
     /// Called for every received ARP packet before normal processing.
-    fn on_arp_rx(
-        &mut self,
-        api: &mut HostApi<'_, '_>,
-        eth: &EthernetFrame,
-        arp: &ArpPacket,
-    ) -> ArpVerdict {
-        let _ = (api, eth, arp);
+    fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
+        let _ = (api, arp);
         ArpVerdict::Continue
     }
 
     /// Called for every received frame of *any* ethertype (before ARP/IP
     /// dispatch). Lets schemes define their own wire formats.
-    fn on_frame_rx(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetFrame) -> FrameVerdict {
+    fn on_frame_rx(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetView<'_>) -> FrameVerdict {
         let _ = (api, eth);
         FrameVerdict::Continue
     }
@@ -119,9 +114,9 @@ impl HostApi<'_, '_> {
         self.ctx.rng().next_u64()
     }
 
-    /// Sends a raw Ethernet frame.
-    pub fn send_frame(&mut self, frame: &EthernetFrame) {
-        self.core.send_frame(self.ctx, frame);
+    /// Sends a raw Ethernet frame (built with [`arpshield_netsim::eth_frame`]).
+    pub fn send_frame(&mut self, frame: Frame) {
+        self.ctx.send(PortId(0), frame);
     }
 
     /// Broadcasts an ARP request for `target_ip` from this host.

@@ -4,9 +4,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use arpshield_netsim::{eth_frame, Device, DeviceCtx, Frame, PortId};
+use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
 use arpshield_packet::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpMessage, IcmpType, IpProtocol, Ipv4Addr,
+    ArpOp, ArpPacket, EtherType, EthernetView, IcmpMessage, IcmpType, IpProtocol, Ipv4Addr,
     Ipv4Cidr, Ipv4Emit, Ipv4Packet, MacAddr, UdpDatagram, UdpEmit, WireEmit,
 };
 use arpshield_trace::Tracer;
@@ -197,12 +197,6 @@ pub struct HostCore {
 }
 
 impl HostCore {
-    pub(crate) fn send_frame(&mut self, ctx: &mut DeviceCtx<'_>, frame: &EthernetFrame) {
-        // The owned header fields and payload are emitted straight into a
-        // recycled pool buffer: one in-place encode, zero intermediate Vecs.
-        ctx.send(PortId(0), Frame::from_wire(frame));
-    }
-
     pub(crate) fn send_arp_request(&mut self, ctx: &mut DeviceCtx<'_>, target_ip: Ipv4Addr) {
         let (mac, ip) = {
             let iface = self.iface.borrow();
@@ -562,9 +556,9 @@ impl Host {
         dhcp_client: &mut Option<DhcpClient>,
         dhcp_server: &mut Option<DhcpServer>,
         ctx: &mut DeviceCtx<'_>,
-        eth: &EthernetFrame,
+        eth: &EthernetView<'_>,
     ) {
-        let Ok(pkt) = Ipv4Packet::parse(&eth.payload) else {
+        let Ok(pkt) = Ipv4Packet::parse(eth.payload()) else {
             return;
         };
         let (my_mac, my_ip, subnet) = {
@@ -591,7 +585,10 @@ impl Host {
                             Ipv4Emit::new(my_ip.unwrap(), pkt.src, IpProtocol::Icmp, &reply);
                         core.stats.borrow_mut().icmp_echoes_answered += 1;
                         core.stats.borrow_mut().ipv4_sent += 1;
-                        ctx.send(PortId(0), eth_frame(eth.src, my_mac, EtherType::Ipv4, &ip_reply));
+                        ctx.send(
+                            PortId(0),
+                            eth_frame(eth.src(), my_mac, EtherType::Ipv4, &ip_reply),
+                        );
                     }
                     IcmpType::EchoReply if for_me => {
                         core.stats.borrow_mut().icmp_replies_received += 1;
@@ -725,11 +722,12 @@ impl Device for Host {
 
     fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, _port: PortId, frame: &[u8]) {
         let Host { core, hooks, apps, dhcp_client, dhcp_server } = self;
-        let Ok(eth) = EthernetFrame::parse(frame) else {
+        let Ok(eth) = EthernetView::parse_strict(frame) else {
             return;
         };
         let my_mac = core.iface.borrow().mac();
-        if eth.dst != my_mac && !eth.dst.is_broadcast() && !eth.dst.is_multicast() {
+        let dst = eth.dst();
+        if dst != my_mac && !dst.is_broadcast() && !dst.is_multicast() {
             return; // NIC filter: not for us
         }
         for (i, hook) in hooks.iter_mut().enumerate() {
@@ -738,15 +736,15 @@ impl Device for Host {
                 return;
             }
         }
-        match eth.ethertype {
+        match eth.ethertype() {
             EtherType::ARP => {
-                let Ok(arp) = ArpPacket::parse(&eth.payload) else {
+                let Ok(arp) = ArpPacket::parse(eth.payload()) else {
                     return;
                 };
                 core.stats.borrow_mut().arp_received += 1;
                 for (i, hook) in hooks.iter_mut().enumerate() {
                     let mut api = HostApi { core, ctx, class: TimerClass::Hook(i as u16) };
-                    if hook.on_arp_rx(&mut api, &eth, &arp) == ArpVerdict::Drop {
+                    if hook.on_arp_rx(&mut api, &arp) == ArpVerdict::Drop {
                         core.stats.borrow_mut().hook_drops += 1;
                         return;
                     }
@@ -1130,12 +1128,7 @@ mod tests {
             fn name(&self) -> &str {
                 "drop-all"
             }
-            fn on_arp_rx(
-                &mut self,
-                _api: &mut HostApi<'_, '_>,
-                _eth: &EthernetFrame,
-                _arp: &ArpPacket,
-            ) -> ArpVerdict {
+            fn on_arp_rx(&mut self, _api: &mut HostApi<'_, '_>, _arp: &ArpPacket) -> ArpVerdict {
                 ArpVerdict::Drop
             }
         }

@@ -7,7 +7,7 @@ use std::time::Duration;
 use arpshield_netsim::{
     Device, DeviceCtx, FailMode, PortId, SimTime, Simulator, Switch, SwitchConfig,
 };
-use arpshield_packet::{EtherType, EthernetFrame, MacAddr};
+use arpshield_packet::{EtherType, EthernetFrame, EthernetView, MacAddr};
 
 /// Sends one unicast frame to a peer every 10 ms.
 struct Talker {
@@ -47,8 +47,8 @@ impl Device for Eavesdropper {
         1
     }
     fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, frame: &[u8]) {
-        if let Ok(eth) = EthernetFrame::parse(frame) {
-            if eth.ethertype == EtherType::Other(0x4242) {
+        if let Ok(eth) = EthernetView::parse_strict(frame) {
+            if eth.ethertype() == EtherType::Other(0x4242) {
                 *self.overheard.borrow_mut() += 1;
             }
         }

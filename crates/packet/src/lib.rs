@@ -9,7 +9,9 @@
 //! # Example
 //!
 //! ```rust
-//! use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr};
+//! use arpshield_packet::{
+//!     ArpOp, ArpPacket, EtherType, EthernetFrame, EthernetView, Ipv4Addr, MacAddr,
+//! };
 //!
 //! # fn main() -> Result<(), arpshield_packet::ParseError> {
 //! let sender = MacAddr::new([0x02, 0, 0, 0, 0, 1]);
@@ -17,9 +19,9 @@
 //! let frame = EthernetFrame::new(MacAddr::BROADCAST, sender, EtherType::ARP, arp.encode());
 //! let bytes = frame.encode();
 //!
-//! let parsed = EthernetFrame::parse(&bytes)?;
-//! assert_eq!(parsed.ethertype, EtherType::ARP);
-//! assert_eq!(ArpPacket::parse(&parsed.payload)?.op, ArpOp::Request);
+//! let parsed = EthernetView::parse_strict(&bytes)?;
+//! assert_eq!(parsed.ethertype(), EtherType::ARP);
+//! assert_eq!(ArpPacket::parse(parsed.payload())?.op, ArpOp::Request);
 //! # Ok(())
 //! # }
 //! ```

@@ -852,9 +852,9 @@ mod tests {
         assert_eq!(buf, golden);
 
         // And the RX side unwraps the stack to the outermost VID.
-        let parsed = EthernetFrame::parse(&buf).unwrap();
-        assert_eq!(parsed.vlan, Some(0xFFE));
-        assert_eq!(parsed.ethertype, EtherType::ARP);
+        let parsed = crate::EthernetView::parse_strict(&buf).unwrap();
+        assert_eq!(parsed.vlan(), Some(0xFFE));
+        assert_eq!(parsed.ethertype(), EtherType::ARP);
     }
 
     /// `push_vlan` and the owned single-tag encoder agree byte for byte.

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use arpshield_host::{ArpVerdict, HostApi, HostHook};
-use arpshield_packet::{ArpOp, ArpPacket, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield_packet::{ArpOp, ArpPacket, Ipv4Addr, MacAddr};
 
 use crate::alert::{Alert, AlertKind, AlertLog};
 use crate::work;
@@ -38,12 +38,7 @@ impl HostHook for AnticapHook {
         SCHEME_ANTICAP
     }
 
-    fn on_arp_rx(
-        &mut self,
-        api: &mut HostApi<'_, '_>,
-        _eth: &EthernetFrame,
-        arp: &ArpPacket,
-    ) -> ArpVerdict {
+    fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
         api.add_work(work::INSPECT);
         if arp.op == ArpOp::Reply && !api.is_resolving(arp.sender_ip) {
             self.dropped += 1;
@@ -113,12 +108,7 @@ impl HostHook for AntidoteHook {
         SCHEME_ANTIDOTE
     }
 
-    fn on_arp_rx(
-        &mut self,
-        api: &mut HostApi<'_, '_>,
-        _eth: &EthernetFrame,
-        arp: &ArpPacket,
-    ) -> ArpVerdict {
+    fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
         api.add_work(work::INSPECT);
         if arp.sender_ip.is_unspecified() {
             return ArpVerdict::Continue;

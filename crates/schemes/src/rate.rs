@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use arpshield_netsim::{Device, DeviceCtx, PortId, SimTime};
 use arpshield_packet::{
-    DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, EthernetView, IpProtocol, Ipv4Packet,
-    MacAddr, UdpDatagram, DHCP_SERVER_PORT,
+    DhcpMessage, DhcpMessageType, EtherType, EthernetView, IpProtocol, Ipv4Packet, UdpDatagram,
+    DHCP_SERVER_PORT,
 };
 
 use crate::alert::{Alert, AlertKind, AlertLog};
@@ -127,35 +127,24 @@ impl RateMonitor {
 
     /// Feeds one sniffed frame through the counters (also the bench
     /// entry point).
-    pub fn observe(&mut self, now: SimTime, eth: &EthernetFrame) {
-        self.observe_parts(now, eth.src, eth.ethertype, &eth.payload);
-    }
-
-    /// [`observe`](Self::observe) without the owned frame: the borrowed
-    /// pieces a zero-copy [`EthernetView`] hands out.
-    pub fn observe_parts(
-        &mut self,
-        now: SimTime,
-        src: MacAddr,
-        ethertype: EtherType,
-        payload: &[u8],
-    ) {
+    pub fn observe(&mut self, now: SimTime, eth: &EthernetView<'_>) {
         self.inspected += 1;
         self.log.add_work(SCHEME, work::INSPECT);
         self.expire(now);
+        let src = eth.src();
         if src.is_unicast() && !src.is_zero() {
             self.mac_events.push_back((now, src));
         }
-        match ethertype {
+        match eth.ethertype() {
             EtherType::ARP => {
-                if let Ok(arp) = arpshield_packet::ArpPacket::parse(payload) {
+                if let Ok(arp) = arpshield_packet::ArpPacket::parse(eth.payload()) {
                     if arp.op == arpshield_packet::ArpOp::Request && !arp.is_probe() {
                         self.arp_request_events.push_back(now);
                     }
                 }
             }
             EtherType::Ipv4 => {
-                if let Ok(pkt) = Ipv4Packet::parse(payload) {
+                if let Ok(pkt) = Ipv4Packet::parse(eth.payload()) {
                     if pkt.protocol == IpProtocol::Udp {
                         if let Ok(dgram) = UdpDatagram::parse(&pkt.payload, pkt.src, pkt.dst) {
                             if dgram.dst_port == DHCP_SERVER_PORT {
@@ -186,7 +175,7 @@ impl Device for RateMonitor {
 
     fn on_frame(&mut self, ctx: &mut DeviceCtx<'_>, _port: PortId, frame: &[u8]) {
         if let Ok(eth) = EthernetView::parse(frame) {
-            self.observe_parts(ctx.now(), eth.src(), eth.ethertype(), eth.payload());
+            self.observe(ctx.now(), &eth);
         }
     }
 }
@@ -194,15 +183,20 @@ impl Device for RateMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arpshield_packet::MacAddr;
+    use arpshield_packet::{EthernetFrame, MacAddr};
 
-    fn frame_from(src: u32) -> EthernetFrame {
+    fn frame_from(src: u32) -> Vec<u8> {
         EthernetFrame::new(
             MacAddr::BROADCAST,
             MacAddr::from_index(src),
             EtherType::Other(0x1234),
             vec![0; 46],
         )
+        .encode()
+    }
+
+    fn observe(m: &mut RateMonitor, now: SimTime, bytes: &[u8]) {
+        m.observe(now, &EthernetView::parse(bytes).unwrap());
     }
 
     #[test]
@@ -211,7 +205,7 @@ mod tests {
         let mut m =
             RateMonitor::new(RateConfig { max_new_macs: 5, ..Default::default() }, log.clone());
         for i in 0..50u32 {
-            m.observe(SimTime::from_millis(u64::from(i) * 10), &frame_from(i));
+            observe(&mut m, SimTime::from_millis(u64::from(i) * 10), &frame_from(i));
         }
         assert_eq!(log.len(), 1, "cooldown must throttle repeats");
         assert_eq!(log.alerts()[0].kind, AlertKind::RateAnomaly);
@@ -223,7 +217,7 @@ mod tests {
         let mut m =
             RateMonitor::new(RateConfig { max_new_macs: 5, ..Default::default() }, log.clone());
         for i in 0..200u32 {
-            m.observe(SimTime::from_millis(u64::from(i) * 10), &frame_from(i % 4));
+            observe(&mut m, SimTime::from_millis(u64::from(i) * 10), &frame_from(i % 4));
         }
         assert!(log.is_empty());
     }
@@ -236,7 +230,7 @@ mod tests {
         // Five distinct MACs per second, but spread so no window holds
         // more than five: silent.
         for i in 0..50u32 {
-            m.observe(SimTime::from_millis(u64::from(i) * 250), &frame_from(i));
+            observe(&mut m, SimTime::from_millis(u64::from(i) * 250), &frame_from(i));
         }
         assert!(log.is_empty());
     }
@@ -261,7 +255,7 @@ mod tests {
                 EtherType::Ipv4,
                 pkt.encode(),
             );
-            m.observe(SimTime::from_millis(u64::from(i) * 50), &eth);
+            observe(&mut m, SimTime::from_millis(u64::from(i) * 50), &eth.encode());
         }
         assert_eq!(log.len(), 1);
     }

@@ -23,8 +23,9 @@ use std::time::Duration;
 use arpshield_crypto::{Akd, KeyPair, PublicKey, Signature, SIGNATURE_LEN};
 use arpshield_host::apps::App;
 use arpshield_host::{ArpVerdict, FrameVerdict, HostApi, HostHook};
+use arpshield_netsim::{eth_frame, Frame};
 use arpshield_packet::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr, ARP_WIRE_LEN,
+    ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr, ARP_WIRE_LEN,
 };
 
 use crate::alert::{Alert, AlertKind, AlertLog};
@@ -106,7 +107,7 @@ pub struct SArpHook {
     /// Key-fetch retries still available per outstanding lookup.
     key_retries: HashMap<Ipv4Addr, u32>,
     /// Signed replies waiting out their signing delay.
-    outbox: std::collections::VecDeque<EthernetFrame>,
+    outbox: std::collections::VecDeque<Frame>,
     /// Verified bindings waiting out their verification delay.
     verify_queue: std::collections::VecDeque<(Ipv4Addr, MacAddr, bool)>,
     /// Signed replies emitted.
@@ -165,7 +166,7 @@ impl SArpHook {
         let sig = self.config.keypair.sign(&message);
         let mut payload = message;
         payload.extend_from_slice(&sig.to_bytes());
-        let frame = EthernetFrame::new(request.sender_mac, my_mac, EtherType::SArp, payload);
+        let frame = eth_frame(request.sender_mac, my_mac, EtherType::SArp, &payload[..]);
         // The signature costs CPU time: emit after the signing delay.
         self.outbox.push_back(frame);
         api.schedule(self.config.unit_cost * work::SIGN as u32, TIMER_SEND_SIGNED);
@@ -228,16 +229,15 @@ impl SArpHook {
         }
     }
 
-    fn handle_sarp_frame(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetFrame) {
-        if eth.payload.len() < ARP_WIRE_LEN + 8 + SIGNATURE_LEN {
+    fn handle_sarp_frame(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetView<'_>) {
+        let Some(claim) = eth.payload().get(..ARP_WIRE_LEN + 8 + SIGNATURE_LEN) else {
             return;
-        }
-        let payload = eth.payload[..ARP_WIRE_LEN + 8 + SIGNATURE_LEN].to_vec();
-        let Ok(arp) = ArpPacket::parse(&payload[..ARP_WIRE_LEN]) else {
+        };
+        let Ok(arp) = ArpPacket::parse(&claim[..ARP_WIRE_LEN]) else {
             return;
         };
         match self.lookup_key(api, arp.sender_ip) {
-            Some(key) => self.verify_claim(api, key, &payload),
+            Some(key) => self.verify_claim(api, key, claim),
             None if self.config.local_akd.is_some() => {
                 // We *are* the AKD and the principal is unknown: reject.
                 self.rejected += 1;
@@ -246,7 +246,7 @@ impl SArpHook {
             None => {
                 let queue = self.pending.entry(arp.sender_ip).or_default();
                 if queue.len() < 8 {
-                    queue.push(payload);
+                    queue.push(claim.to_vec());
                 }
                 self.request_key(api, arp.sender_ip);
                 // Arm the loss-recovery timer once per outstanding fetch.
@@ -310,12 +310,7 @@ impl HostHook for SArpHook {
         api.install_static_binding(self.config.akd_ip, self.config.akd_mac);
     }
 
-    fn on_arp_rx(
-        &mut self,
-        api: &mut HostApi<'_, '_>,
-        _eth: &EthernetFrame,
-        arp: &ArpPacket,
-    ) -> ArpVerdict {
+    fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
         api.add_work(work::INSPECT);
         match arp.op {
             ArpOp::Request => {
@@ -345,7 +340,7 @@ impl HostHook for SArpHook {
         match payload {
             TIMER_SEND_SIGNED => {
                 if let Some(frame) = self.outbox.pop_front() {
-                    api.send_frame(&frame);
+                    api.send_frame(frame);
                 }
             }
             TIMER_FINISH_VERIFY => self.finish_verify(api),
@@ -378,8 +373,8 @@ impl HostHook for SArpHook {
         }
     }
 
-    fn on_frame_rx(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetFrame) -> FrameVerdict {
-        match eth.ethertype {
+    fn on_frame_rx(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetView<'_>) -> FrameVerdict {
+        match eth.ethertype() {
             EtherType::SArp => {
                 self.handle_sarp_frame(api, eth);
                 FrameVerdict::Consumed
@@ -387,7 +382,7 @@ impl HostHook for SArpHook {
             EtherType::Ipv4 => {
                 // Peel AKD responses out of the UDP stream ourselves; all
                 // other IPv4 traffic flows to the normal stack.
-                let Ok(pkt) = arpshield_packet::Ipv4Packet::parse(&eth.payload) else {
+                let Ok(pkt) = arpshield_packet::Ipv4Packet::parse(eth.payload()) else {
                     return FrameVerdict::Continue;
                 };
                 if pkt.protocol != arpshield_packet::IpProtocol::Udp {

@@ -15,9 +15,9 @@ use std::time::Duration;
 
 use arpshield_crypto::{KeyPair, PublicKey, Signature, SIGNATURE_LEN};
 use arpshield_host::{ArpVerdict, FrameVerdict, HostApi, HostHook};
-use arpshield_netsim::SimTime;
+use arpshield_netsim::{eth_frame, Frame, SimTime};
 use arpshield_packet::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr, ARP_WIRE_LEN,
+    ArpOp, ArpPacket, EtherType, EthernetView, Ipv4Addr, MacAddr, ARP_WIRE_LEN,
 };
 
 use crate::alert::{Alert, AlertKind, AlertLog};
@@ -105,7 +105,7 @@ pub struct TarpConfig {
 pub struct TarpHook {
     config: TarpConfig,
     log: AlertLog,
-    outbox: std::collections::VecDeque<EthernetFrame>,
+    outbox: std::collections::VecDeque<Frame>,
     verify_queue: std::collections::VecDeque<(Ipv4Addr, MacAddr, bool)>,
     /// Ticketed replies sent.
     pub replies_sent: u64,
@@ -149,12 +149,7 @@ impl HostHook for TarpHook {
         SCHEME
     }
 
-    fn on_arp_rx(
-        &mut self,
-        api: &mut HostApi<'_, '_>,
-        _eth: &EthernetFrame,
-        arp: &ArpPacket,
-    ) -> ArpVerdict {
+    fn on_arp_rx(&mut self, api: &mut HostApi<'_, '_>, arp: &ArpPacket) -> ArpVerdict {
         api.add_work(work::INSPECT);
         match arp.op {
             ArpOp::Request => {
@@ -168,8 +163,7 @@ impl HostHook for TarpHook {
                     let reply = ArpPacket::reply_to(arp, my_mac);
                     let mut payload = reply.encode();
                     payload.extend_from_slice(&self.config.ticket.to_bytes());
-                    let frame =
-                        EthernetFrame::new(arp.sender_mac, my_mac, EtherType::Tarp, payload);
+                    let frame = eth_frame(arp.sender_mac, my_mac, EtherType::Tarp, &payload[..]);
                     self.outbox.push_back(frame);
                     // Only header assembly; one inspection unit of delay.
                     api.schedule(self.config.unit_cost, TIMER_SEND);
@@ -186,17 +180,18 @@ impl HostHook for TarpHook {
         }
     }
 
-    fn on_frame_rx(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetFrame) -> FrameVerdict {
-        if eth.ethertype != EtherType::Tarp {
+    fn on_frame_rx(&mut self, api: &mut HostApi<'_, '_>, eth: &EthernetView<'_>) -> FrameVerdict {
+        if eth.ethertype() != EtherType::Tarp {
             return FrameVerdict::Continue;
         }
-        if eth.payload.len() < ARP_WIRE_LEN + TICKET_LEN {
+        let payload = eth.payload();
+        if payload.len() < ARP_WIRE_LEN + TICKET_LEN {
             return FrameVerdict::Consumed;
         }
-        let Ok(arp) = ArpPacket::parse(&eth.payload[..ARP_WIRE_LEN]) else {
+        let Ok(arp) = ArpPacket::parse(&payload[..ARP_WIRE_LEN]) else {
             return FrameVerdict::Consumed;
         };
-        let Some(ticket) = Ticket::from_bytes(&eth.payload[ARP_WIRE_LEN..]) else {
+        let Some(ticket) = Ticket::from_bytes(&payload[ARP_WIRE_LEN..]) else {
             self.rejected += 1;
             self.alert(api.now(), AlertKind::SignatureInvalid, arp.sender_ip, arp.sender_mac);
             return FrameVerdict::Consumed;
@@ -215,7 +210,7 @@ impl HostHook for TarpHook {
         match payload {
             TIMER_SEND => {
                 if let Some(frame) = self.outbox.pop_front() {
-                    api.send_frame(&frame);
+                    api.send_frame(frame);
                 }
             }
             TIMER_VERIFY => {

@@ -11,7 +11,9 @@ use arpshield_host::{ArpPolicy, Host, HostConfig, HostHandle};
 use arpshield_netsim::{
     Device, DeviceCtx, DeviceId, PortId, SimTime, Simulator, Switch, SwitchConfig,
 };
-use arpshield_packet::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, Ipv4Cidr, MacAddr};
+use arpshield_packet::{
+    ArpOp, ArpPacket, EtherType, EthernetFrame, EthernetView, Ipv4Addr, Ipv4Cidr, MacAddr,
+};
 use arpshield_schemes::{
     sarp, tarp, AlertKind, AlertLog, SArpConfig, SArpHook, TarpConfig, TarpHook, Ticket,
 };
@@ -47,20 +49,18 @@ impl Device for SArpReplayer {
         ctx.schedule_in(self.replay_at, 1);
     }
     fn on_frame(&mut self, _ctx: &mut DeviceCtx<'_>, _port: PortId, frame: &[u8]) {
-        if let Ok(eth) = EthernetFrame::parse(frame) {
-            if eth.ethertype == EtherType::SArp && !self.replayed {
+        if let Ok(eth) = EthernetView::parse_strict(frame) {
+            if eth.ethertype() == EtherType::SArp && !self.replayed {
                 self.captured.push(frame.to_vec());
             }
         }
     }
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, _token: u64) {
         self.replayed = true;
-        for frame in self.captured.drain(..) {
+        for mut frame in self.captured.drain(..) {
             // Re-address the replay to the broadcast so the victim sees it.
-            if let Ok(mut eth) = EthernetFrame::parse(&frame) {
-                eth.dst = MacAddr::BROADCAST;
-                ctx.send(PortId(0), eth.encode());
-            }
+            frame[..6].copy_from_slice(MacAddr::BROADCAST.as_bytes());
+            ctx.send(PortId(0), frame);
         }
     }
 }

@@ -176,8 +176,8 @@ echo "==> alloc-floor gate (frame_delivery allocs/frame vs committed baseline)"
 # unlike the timing comparison above this gate is FATAL: the bench smoke
 # just rewrote results/bench/frame_delivery_allocs.json from a live run,
 # and any workload allocating more per delivered frame than the committed
-# baseline — or the hub broadcast path exceeding its 0.02 allocs/frame
-# ceiling — fails CI.
+# baseline — or the hub broadcast path or the host-stack ARP RX path
+# exceeding the 0.02 allocs/frame ceiling — fails CI.
 python3 - results/bench/frame_delivery_allocs.json \
     results/bench/baseline/frame_delivery_allocs.json <<'PY'
 import json
@@ -187,7 +187,7 @@ live_path, base_path = sys.argv[1], sys.argv[2]
 live = {e["id"]: e for e in json.load(open(live_path))["results"]}
 base = {e["id"]: e for e in json.load(open(base_path))["results"]}
 
-HUB_CEILING = 0.02  # absolute allocs/frame bound on the zero-copy TX path
+HUB_CEILING = 0.02  # absolute allocs/frame bound on the zero-copy paths
 
 failed = False
 for wid, entry in sorted(base.items()):
@@ -200,10 +200,11 @@ for wid, entry in sorted(base.items()):
     failed |= got > want
     print(f"alloc gate: {verdict} {wid}: {got:.4f} allocs/frame (baseline {want:.4f})")
 
-hub = live.get("hub16/broadcast")
-if hub is None or hub["allocs_per_frame"] > HUB_CEILING:
-    print(f"alloc gate: FAIL hub16/broadcast exceeds {HUB_CEILING} allocs/frame ceiling")
-    failed = True
+for wid in ("hub16/broadcast", "hub16/host_arp_rx"):
+    hub = live.get(wid)
+    if hub is None or hub["allocs_per_frame"] > HUB_CEILING:
+        print(f"alloc gate: FAIL {wid} exceeds {HUB_CEILING} allocs/frame ceiling")
+        failed = True
 
 sys.exit(1 if failed else 0)
 PY

@@ -2,7 +2,7 @@
 //! in-tree harness must produce a `results/bench/*.json` artifact that
 //! parses and carries the statistics the perf trajectory consumes.
 
-use arpshield::packet::{ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr};
+use arpshield::packet::{ArpPacket, EtherType, EthernetFrame, EthernetView, Ipv4Addr, MacAddr};
 use arpshield_testkit::{json, BenchConfig, Criterion, Throughput};
 
 #[test]
@@ -28,8 +28,8 @@ fn one_iteration_bench_run_emits_parseable_json() {
         group.throughput(Throughput::Bytes(frame.len() as u64));
         group.bench_function("parse_eth_arp", |b| {
             b.iter(|| {
-                let eth = EthernetFrame::parse(&frame).unwrap();
-                ArpPacket::parse(&eth.payload).unwrap()
+                let eth = EthernetView::parse_strict(&frame).unwrap();
+                ArpPacket::parse(eth.payload()).unwrap()
             })
         });
         group.finish();

@@ -12,8 +12,8 @@ use arpshield_testkit::prelude::*;
 use arpshield::crypto::{KeyPair, Signature};
 use arpshield::netsim::{CamTable, PortId, SimTime};
 use arpshield::packet::{
-    ArpOp, ArpPacket, DhcpMessage, EtherType, EthernetFrame, IcmpMessage, IpProtocol, Ipv4Addr,
-    Ipv4Cidr, Ipv4Packet, MacAddr, TcpFlags, TcpSegment, UdpDatagram,
+    ArpOp, ArpPacket, DhcpMessage, EtherType, EthernetFrame, EthernetView, IcmpMessage, IpProtocol,
+    Ipv4Addr, Ipv4Cidr, Ipv4Packet, MacAddr, TcpFlags, TcpSegment, UdpDatagram,
 };
 use std::time::Duration;
 
@@ -41,18 +41,15 @@ properties! {
         if vid % 2 == 0 {
             frame = frame.with_vlan(vid);
         }
-        let parsed = EthernetFrame::parse(&frame.encode()).unwrap();
-        prop_assert_eq!(parsed.dst, dst);
-        prop_assert_eq!(parsed.src, src);
-        prop_assert_eq!(parsed.ethertype, ethertype);
-        prop_assert_eq!(parsed.vlan, frame.vlan);
-        // Padding may extend short payloads; the prefix must survive.
-        prop_assert_eq!(&parsed.payload[..payload.len()], &payload[..]);
-        prop_assert!(parsed.payload.len() >= 46 || payload.len() >= 46);
-        // The borrowed view agrees with the owned parse on the same bytes.
         let bytes = frame.encode();
-        let view = arpshield::packet::EthernetView::parse(&bytes).unwrap();
-        prop_assert_eq!(view.to_frame(), parsed);
+        let parsed = EthernetView::parse_strict(&bytes).unwrap();
+        prop_assert_eq!(parsed.dst(), dst);
+        prop_assert_eq!(parsed.src(), src);
+        prop_assert_eq!(parsed.ethertype(), ethertype);
+        prop_assert_eq!(parsed.vlan(), frame.vlan);
+        // Padding may extend short payloads; the prefix must survive.
+        prop_assert_eq!(&parsed.payload()[..payload.len()], &payload[..]);
+        prop_assert!(parsed.payload().len() >= 46 || payload.len() >= 46);
     }
 
     #[test]
@@ -112,7 +109,7 @@ properties! {
     /// straight in.)
     #[test]
     fn parsers_are_total_on_garbage(bytes in collection::vec(any::<u8>(), 0..200)) {
-        let _ = EthernetFrame::parse(&bytes);
+        let _ = EthernetView::parse_strict(&bytes);
         let _ = ArpPacket::parse(&bytes);
         let _ = Ipv4Packet::parse(&bytes);
         let _ = IcmpMessage::parse(&bytes);
@@ -1105,14 +1102,156 @@ mod vlan_isolation {
                 } else if p == ports {
                     // The trunk carries VID 10, so the copy arrives tagged.
                     prop_assert_eq!(got.len(), 1);
-                    let parsed = EthernetFrame::parse(&got[0]).unwrap();
-                    prop_assert_eq!(parsed.vlan, Some(10));
+                    let parsed = EthernetView::parse_strict(&got[0]).unwrap();
+                    prop_assert_eq!(parsed.vlan(), Some(10));
                 } else if vids[p] == 10 {
                     prop_assert_eq!(got.len(), 1);
                     // Access egress is untagged: the sender's bytes verbatim.
                     prop_assert_eq!(&got[0][..], &frame[..]);
                 } else {
                     prop_assert!(got.is_empty(), "VID-20 access port {} leaked a frame", p);
+                }
+            }
+        }
+    }
+}
+
+/// Adversary-controlled frames must never panic a host: arbitrary bytes,
+/// and well-formed ARP/IPv4/UDP headers around random bodies, fed to a
+/// static host and to a DHCP client, each carrying every host-resident
+/// scheme hook in turn.
+mod hostile_host_input {
+    use super::*;
+    use arpshield::crypto::Akd;
+    use arpshield::host::dhcp::DhcpClientConfig;
+    use arpshield::host::{Host, HostConfig, HostHook};
+    use arpshield::netsim::StandaloneDriver;
+    use arpshield::packet::{DHCP_CLIENT_PORT, DHCP_SERVER_PORT};
+    use arpshield::schemes::sarp::AKD_PORT;
+    use arpshield::schemes::{
+        AlertLog, AnticapHook, AntidoteHook, SArpConfig, SArpHook, TarpConfig, TarpHook, Ticket,
+    };
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The S-ARP agent's key-request port, where AKD responses land.
+    const SARP_CLIENT_PORT: u16 = 9613;
+
+    fn ip(n: u8) -> Ipv4Addr {
+        Ipv4Addr::new(10, 0, 0, n)
+    }
+
+    /// `shape` picks the framing, `addrs` steers MACs and IPs toward the
+    /// hosts, `word` fills ethertypes, opcodes and ports.
+    fn hostile_frame((shape, addrs, word, body): &(u8, u8, u16, Vec<u8>)) -> Vec<u8> {
+        let macs = [MacAddr::from_index(1), MacAddr::from_index(2), MacAddr::BROADCAST];
+        let any_ip = Ipv4Addr::from_u32(u32::from(*word));
+        let ips = [ip(1), ip(66), ip(254), Ipv4Addr::UNSPECIFIED, Ipv4Addr::BROADCAST, any_ip];
+        let (dst, src) = (macs[usize::from(addrs % 3)], MacAddr::from_index(66));
+        let (sip, tip) = (ips[usize::from(addrs >> 2) % 6], ips[usize::from(addrs >> 5) % 6]);
+        let eth = |ethertype, payload| EthernetFrame::new(dst, src, ethertype, payload).encode();
+        let ethertypes = [EtherType::ARP, EtherType::SArp, EtherType::Tarp, EtherType::Ipv4];
+        match shape % 6 {
+            0 => body.clone(),
+            1 => eth(
+                *ethertypes.get(usize::from(word % 5)).unwrap_or(&EtherType::Other(*word)),
+                body.clone(),
+            ),
+            2 | 3 => {
+                let op = if word & 0x100 == 0 { ArpOp::Request } else { ArpOp::Reply };
+                let arp = ArpPacket {
+                    op,
+                    sender_mac: src,
+                    sender_ip: sip,
+                    target_mac: dst,
+                    target_ip: tip,
+                };
+                let mut payload = arp.encode();
+                payload.extend_from_slice(body);
+                eth(ethertypes[usize::from(word % 3)], payload)
+            }
+            4 => eth(
+                EtherType::Ipv4,
+                Ipv4Packet::new(sip, tip, IpProtocol::from_u8(*word as u8), body.clone()).encode(),
+            ),
+            _ => {
+                let (sp, dp) = [
+                    (AKD_PORT, SARP_CLIENT_PORT),
+                    (DHCP_SERVER_PORT, DHCP_CLIENT_PORT),
+                    (DHCP_CLIENT_PORT, DHCP_SERVER_PORT),
+                    (*word, word.rotate_left(4)),
+                ][usize::from(word % 4)];
+                let udp = UdpDatagram::new(sp, dp, body.clone()).encode(sip, tip);
+                eth(EtherType::Ipv4, Ipv4Packet::new(sip, tip, IpProtocol::Udp, udp).encode())
+            }
+        }
+    }
+
+    /// A fresh hook of scheme `kind` for the host at `addr`/`mac`. The
+    /// static host's S-ARP agent answers key lookups from a local AKD
+    /// registry; the DHCP client's fetches them over the wire.
+    fn hook(kind: usize, addr: Ipv4Addr, mac: MacAddr) -> Box<dyn HostHook> {
+        let log = AlertLog::new();
+        match kind {
+            0 => {
+                let mut akd = Akd::new();
+                for n in [1, 66] {
+                    akd.register(ip(n).to_u32(), KeyPair::from_seed(u64::from(n)).public_key());
+                }
+                let config = SArpConfig {
+                    keypair: KeyPair::from_seed(u64::from(addr.octets()[3])),
+                    akd_ip: ip(254),
+                    akd_mac: MacAddr::from_index(254),
+                    akd_key: KeyPair::from_seed(254).public_key(),
+                    max_age: Duration::from_secs(1),
+                    local_akd: (addr == ip(1)).then(|| Rc::new(RefCell::new(akd))),
+                    unit_cost: Duration::from_micros(1),
+                    key_fetch_retries: 2,
+                    key_fetch_timeout: Duration::from_millis(50),
+                };
+                Box::new(SArpHook::new(config, log))
+            }
+            1 => {
+                let lta = KeyPair::from_seed(77);
+                let ticket = Ticket::issue(&lta, addr, mac, SimTime::from_secs(60));
+                let unit_cost = Duration::from_micros(1);
+                Box::new(TarpHook::new(
+                    TarpConfig { ticket, lta_key: lta.public_key(), unit_cost },
+                    log,
+                ))
+            }
+            2 => Box::new(AnticapHook::new(log)),
+            _ => Box::new(AntidoteHook::new(log).with_probe_retries(1)),
+        }
+    }
+
+    properties! {
+        #[test]
+        fn hosts_and_hooks_survive_hostile_frames(
+            specs in collection::vec(
+                (any::<u8>(), any::<u8>(), any::<u16>(), collection::vec(any::<u8>(), 0..1600)),
+                1..12,
+            ),
+        ) {
+            let frames: Vec<Vec<u8>> = specs.iter().map(hostile_frame).collect();
+            for kind in 0..4 {
+                let subnet = Ipv4Cidr::new(ip(0), 24);
+                let (mac1, mac2) = (MacAddr::from_index(1), MacAddr::from_index(2));
+                let hosts = [
+                    (HostConfig::static_ip("victim", mac1, ip(1), subnet), ip(1)),
+                    (HostConfig::dhcp("client", mac2, DhcpClientConfig::default()), ip(2)),
+                ];
+                for (config, addr) in hosts {
+                    let mac = config.mac;
+                    let (mut host, _) = Host::new(config);
+                    host.add_hook(hook(kind, addr, mac));
+                    let mut runner = StandaloneDriver::new(3);
+                    runner.start(&mut host);
+                    for (i, frame) in frames.iter().enumerate() {
+                        let at = SimTime::from_micros(100 * (i as u64 + 1));
+                        runner.deliver(&mut host, at, PortId(0), frame);
+                    }
+                    runner.advance_to(&mut host, SimTime::from_secs(2));
                 }
             }
         }
