@@ -134,6 +134,8 @@ mod tests {
     use super::*;
     use arpshield_netsim::{SimTime, Simulator, Switch, SwitchConfig};
     use arpshield_packet::EthernetView;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn flood_fills_cam_and_respects_total() {
@@ -165,22 +167,22 @@ mod tests {
 
     #[test]
     fn random_macs_are_unicast() {
-        let mut sim = Simulator::new(1);
-        struct Probe;
+        /// Records the source address of every frame it receives.
+        struct Probe(Rc<RefCell<Vec<MacAddr>>>);
         impl Device for Probe {
             fn name(&self) -> &str {
                 "p"
             }
             fn port_count(&self) -> usize {
-                0
+                1
             }
-            fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {}
+            fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, frame: &[u8]) {
+                self.0.borrow_mut().push(EthernetView::parse_strict(frame).unwrap().src());
+            }
         }
-        sim.add_device(Box::new(Probe));
-        // Exercise the generator through a context.
-        // (Indirect: run a flooder and inspect trace sources.)
-        let (sw, _) = Switch::new("sw", SwitchConfig { ports: 2, ..Default::default() });
-        let sw = sim.add_device(Box::new(sw));
+        let mut sim = Simulator::new(1);
+        let sources = Rc::new(RefCell::new(Vec::new()));
+        let p = sim.add_device(Box::new(Probe(Rc::clone(&sources))));
         let f = sim.add_device(Box::new(MacFlooder::new(
             MacFlooderConfig {
                 attacker_mac: MacAddr::from_index(1),
@@ -191,13 +193,11 @@ mod tests {
             },
             GroundTruth::new(),
         )));
-        sim.connect(f, PortId(0), sw, PortId(0), Duration::from_micros(1)).unwrap();
-        sim.enable_trace();
+        sim.connect(f, PortId(0), p, PortId(0), Duration::from_micros(1)).unwrap();
         sim.run_until(SimTime::from_secs(1));
-        let trace = sim.trace().unwrap();
-        assert!(!trace.is_empty());
-        for frame in trace.frames() {
-            let src = EthernetView::parse_strict(&frame.bytes).unwrap().src();
+        let sources = sources.borrow();
+        assert_eq!(sources.len(), 32);
+        for src in sources.iter() {
             assert!(src.is_unicast());
             assert!(src.is_locally_administered());
         }

@@ -8,6 +8,8 @@
 //! of analysis treats reconnaissance visibility as part of a scheme's
 //! coverage story.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 use arpshield_netsim::{eth_frame, Device, DeviceCtx, PortId};
@@ -48,8 +50,9 @@ pub struct ArpScanner {
     config: ArpScannerConfig,
     truth: GroundTruth,
     next_host: u32,
-    /// Live results.
-    pub stats: ScanStats,
+    /// Live results, shared so they stay readable after the scanner is
+    /// boxed into a simulator.
+    pub stats: Rc<RefCell<ScanStats>>,
 }
 
 const TICK: u64 = 1;
@@ -57,7 +60,7 @@ const TICK: u64 = 1;
 impl ArpScanner {
     /// Creates a scanner reporting into `truth`.
     pub fn new(config: ArpScannerConfig, truth: GroundTruth) -> Self {
-        ArpScanner { config, truth, next_host: 1, stats: ScanStats::default() }
+        ArpScanner { config, truth, next_host: 1, stats: Rc::default() }
     }
 
     /// True when the sweep has covered the whole subnet.
@@ -92,7 +95,7 @@ impl Device for ArpScanner {
             PortId(0),
             eth_frame(MacAddr::BROADCAST, self.config.attacker_mac, EtherType::ARP, &request),
         );
-        self.stats.requests_sent += 1;
+        self.stats.borrow_mut().requests_sent += 1;
         self.truth.record(AttackEvent {
             at: ctx.now(),
             attacker: self.config.attacker_mac,
@@ -114,10 +117,9 @@ impl Device for ArpScanner {
         let Ok(arp) = ArpPacket::parse(eth.payload()) else {
             return;
         };
-        if arp.op == ArpOp::Reply
-            && !self.stats.discovered.iter().any(|(ip, _)| *ip == arp.sender_ip)
-        {
-            self.stats.discovered.push((arp.sender_ip, arp.sender_mac));
+        let mut stats = self.stats.borrow_mut();
+        if arp.op == ArpOp::Reply && !stats.discovered.iter().any(|(ip, _)| *ip == arp.sender_ip) {
+            stats.discovered.push((arp.sender_ip, arp.sender_mac));
         }
     }
 }

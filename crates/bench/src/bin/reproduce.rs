@@ -551,29 +551,42 @@ fn run_inspect(args: &[String]) -> Result<(), String> {
         }
     }
     let path = path.ok_or("usage: reproduce inspect FILE [--host S] [--mac S] [--verdict S]")?;
-    let raw = fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let capture = arpshield_trace::pcapng::parse(&raw).map_err(|e| format!("{path}: {e}"))?;
-    let (events_by_label, evicted_by_label) = load_index(&path)?;
-
+    let file = fs::File::open(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut stream = PcapngStream::new(BufReader::new(file));
     let mut frames_by_run: Vec<Vec<FrameLine>> = Vec::new();
-    frames_by_run.resize_with(capture.interfaces.len(), Vec::new);
-    for (seq, pkt) in capture.packets.iter().enumerate() {
-        let (id, kind, src, dst, pinned) = parse_frame_comment(&pkt.comment);
+    let mut seq = 0u64;
+    while let Some(pkt) = stream.next_packet().map_err(|e| format!("{path}: {e}"))? {
+        seq += 1;
+        let (id, kind, src, dst, pinned) = parse_frame_comment(pkt.comment);
+        if frames_by_run.len() <= pkt.interface {
+            frames_by_run.resize_with(pkt.interface + 1, Vec::new);
+        }
         frames_by_run[pkt.interface].push(FrameLine {
-            id: id.unwrap_or(seq as u64 + 1),
+            id: id.unwrap_or(seq),
             at_ns: pkt.ts_ns,
             kind,
             src,
             dst,
             len: pkt.bytes.len(),
             pinned,
-            decoded: decode_frame(&pkt.bytes),
+            decoded: decode_frame(pkt.bytes),
         });
     }
+    // A forensic timeline with its tail missing would silently drop the
+    // events that matter most, so unlike `ingest` a cut capture is fatal.
+    if !stream.warnings().is_empty() {
+        return Err(format!(
+            "{path}: capture truncated at offset {}; inspect needs a complete capture",
+            stream.stats().bytes
+        ));
+    }
+    let interfaces = stream.interfaces();
+    frames_by_run.resize_with(interfaces.len(), Vec::new);
+    let (events_by_label, evicted_by_label) = load_index(&path)?;
 
     let (mut frames_shown, mut frames_total) = (0usize, 0usize);
     let (mut events_shown, mut events_total) = (0usize, 0usize);
-    for (run, label) in capture.interfaces.iter().enumerate() {
+    for (run, label) in interfaces.iter().enumerate() {
         let frames = &frames_by_run[run];
         let events = events_by_label.get(label).map(Vec::as_slice).unwrap_or_default();
         frames_total += frames.len();
@@ -659,7 +672,7 @@ fn run_inspect(args: &[String]) -> Result<(), String> {
     println!(
         "{} run(s); showing {frames_shown}/{frames_total} frame(s), \
          {events_shown}/{events_total} event(s)",
-        capture.interfaces.len(),
+        interfaces.len(),
     );
     Ok(())
 }
@@ -973,7 +986,8 @@ fn run_ingest(args: &[String]) -> Result<(), String> {
 
 /// Host counts for the T6S scalability sweep. `ARPSHIELD_T6S_HOSTS`
 /// (comma-separated) overrides the published 1k–100k grid so CI can
-/// smoke the experiment at small sizes.
+/// smoke the experiment at small sizes; an overridden grid needs
+/// `--out`, so it never replaces the committed full-grid CSVs.
 fn t6s_sizes() -> Vec<usize> {
     let (sizes, warning) = arpshield_trace::env_knob::knob("ARPSHIELD_T6S_HOSTS").parse_list_or(
         T6S_SIZES.to_vec(),
@@ -1029,11 +1043,11 @@ fn main() {
         }
     }
 
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir = None;
     if let Some(pos) = args.iter().position(|a| a == "--out") {
         args.remove(pos);
         if pos < args.len() {
-            out_dir = PathBuf::from(args.remove(pos));
+            out_dir = Some(PathBuf::from(args.remove(pos)));
         }
     }
     let mut trace = false;
@@ -1060,10 +1074,22 @@ fn main() {
         args.remove(pos);
         profile_flag = true;
     }
-    fs::create_dir_all(&out_dir).ok();
-    let out = Output { out_dir, trace, capture, profile: profile_flag };
     let selected: Vec<String> = args.iter().map(|a| a.to_lowercase()).collect();
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
+    let t6s_grid = (want("t6s") || selected.iter().any(|s| s == "t6sd")).then(t6s_sizes);
+    // The committed results/t6s*.csv and t6sd*.csv hold the full grid;
+    // a partial sweep must not land on top of them.
+    if out_dir.is_none() && t6s_grid.as_ref().is_some_and(|grid| grid != T6S_SIZES) {
+        eprintln!(
+            "error: ARPSHIELD_T6S_HOSTS overrides the T6S grid; pass --out DIR so the partial \
+             sweep does not overwrite results/t6s*.csv and results/t6sd*.csv"
+        );
+        std::process::exit(2);
+    }
+    let t6s_grid = t6s_grid.unwrap_or_default();
+    let out_dir = out_dir.unwrap_or_else(|| PathBuf::from("results"));
+    fs::create_dir_all(&out_dir).ok();
+    let out = Output { out_dir, trace, capture, profile: profile_flag };
 
     println!("arpshield reproduction harness (seed {SEED})");
     println!(
@@ -1097,13 +1123,13 @@ fn main() {
         out.table("t6", || t6_dos_coverage(SEED));
     }
     if want("t6s") {
-        out.series("t6s", || t6_scale(SEED, &t6s_sizes()));
+        out.series("t6s", || t6_scale(SEED, &t6s_grid));
     }
     // The defended scale sweep rides behind `t6s --defend` (or its own
     // `t6sd` id) so the default full run — and its committed CSVs —
     // keep the published undefended shape.
     if selected.iter().any(|s| s == "t6sd") || (want("t6s") && defend) {
-        out.series("t6sd", || t6_scale_defended(SEED, &t6s_sizes()));
+        out.series("t6sd", || t6_scale_defended(SEED, &t6s_grid));
     }
     if want("f1") {
         out.series("f1", || f1_detection_latency(SEED, 30));

@@ -66,10 +66,12 @@ mod tests {
     use super::*;
     use crate::sim::Simulator;
     use crate::time::SimTime;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use std::time::Duration;
 
     struct Sink {
-        got: u64,
+        got: Rc<Cell<u64>>,
     }
     impl Device for Sink {
         fn name(&self) -> &str {
@@ -79,7 +81,7 @@ mod tests {
             1
         }
         fn on_frame(&mut self, _: &mut DeviceCtx<'_>, _: PortId, _: &[u8]) {
-            self.got += 1;
+            self.got.set(self.got.get() + 1);
         }
     }
 
@@ -105,21 +107,19 @@ mod tests {
         sim.connect(src, PortId(0), hub, PortId(0), Duration::from_micros(1)).unwrap();
         let sinks: Vec<_> = (1..4u16)
             .map(|p| {
-                let s = sim.add_device(Box::new(Sink { got: 0 }));
+                let got = Rc::new(Cell::new(0));
+                let s = sim.add_device(Box::new(Sink { got: Rc::clone(&got) }));
                 sim.connect(s, PortId(0), hub, PortId(p), Duration::from_micros(1)).unwrap();
-                s
+                got
             })
             .collect();
-        sim.enable_trace();
         sim.run_until(SimTime::from_secs(1));
-        // 1 ingress + 3 egress copies delivered.
-        assert_eq!(sim.wire_stats().frames, 4);
-        let trace = sim.trace().unwrap();
-        for s in sinks {
-            assert_eq!(trace.received_by(s).count(), 1);
+        for got in &sinks {
+            assert_eq!(got.get(), 1);
         }
-        // Nothing is echoed back to the source port.
-        assert_eq!(trace.received_by(src).count(), 0);
+        // 1 ingress + 3 egress copies delivered: nothing is echoed back
+        // to the source port.
+        assert_eq!(sim.wire_stats().frames, 4);
     }
 
     #[test]

@@ -50,7 +50,6 @@ mod sim;
 mod standalone;
 mod switch;
 mod time;
-mod trace;
 mod wheel;
 
 pub use device::{Device, DeviceCtx, DeviceId, PortId};
@@ -67,5 +66,4 @@ pub use switch::{
     Switch, SwitchConfig, SwitchHandle, SwitchStats, ViolationAction, VlanId, VlanSet,
 };
 pub use time::SimTime;
-pub use trace::{Trace, TracedFrame};
 pub use wheel::TimingWheel;

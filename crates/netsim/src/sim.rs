@@ -11,7 +11,6 @@ use crate::frame::Frame;
 use crate::impair::{self, LinkProfile};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::trace::{Trace, TracedFrame};
 use crate::wheel::TimingWheel;
 
 /// Aggregate counters over everything that crossed the wire.
@@ -59,7 +58,6 @@ enum EventKind {
         bytes: Frame,
         src: DeviceId,
         src_port: PortId,
-        sent_at: SimTime,
         /// True for impairment-injected duplicate copies, so the
         /// flight recorder can label them distinctly.
         dup: bool,
@@ -95,7 +93,6 @@ pub struct Simulator {
     rng: SimRng,
     impair_seed: u64,
     default_profile: LinkProfile,
-    trace: Option<Trace>,
     stats: WireStats,
     /// Reusable actions buffer, drained after every dispatch. Devices
     /// cannot re-enter the simulator, so one scratch vector serves all
@@ -126,7 +123,6 @@ impl Simulator {
             rng: SimRng::new(seed),
             impair_seed: seed ^ IMPAIR_SEED_SALT,
             default_profile: LinkProfile::PERFECT,
-            trace: None,
             run_tracer: Tracer::disabled(),
             stats: WireStats::default(),
             scratch: Vec::new(),
@@ -231,21 +227,10 @@ impl Simulator {
     }
 
     /// Routes wire-level impairment outcomes (loss, outage drops,
-    /// duplication) into `tracer`.
+    /// duplication) into `tracer`, and every delivered or dropped frame
+    /// into its flight recorder when the collector captures frames.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.run_tracer = tracer;
-    }
-
-    /// Starts recording every delivered frame into an in-memory trace.
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Trace::new());
-        }
-    }
-
-    /// The trace, if [`enable_trace`](Simulator::enable_trace) was called.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Current simulation time.
@@ -328,7 +313,6 @@ impl Simulator {
                                     bytes,
                                     src: from,
                                     src_port: port,
-                                    sent_at: self.now,
                                     dup: false,
                                 },
                             );
@@ -382,7 +366,6 @@ impl Simulator {
                                 bytes,
                                 src: from,
                                 src_port: port,
-                                sent_at: self.now,
                                 dup: false,
                             },
                         );
@@ -397,7 +380,6 @@ impl Simulator {
                                     bytes: copy,
                                     src: from,
                                     src_port: port,
-                                    sent_at: self.now,
                                     dup: true,
                                 },
                             );
@@ -422,22 +404,10 @@ impl Simulator {
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         match kind {
-            EventKind::Deliver { dst, port, bytes, src, src_port, sent_at, dup } => {
+            EventKind::Deliver { dst, port, bytes, src, src_port, dup } => {
                 let _s = profile::span("sim.deliver");
                 self.stats.frames += 1;
                 self.stats.bytes += bytes.len() as u64;
-                if let Some(trace) = &mut self.trace {
-                    // A shared-buffer clone: the trace holds a handle to
-                    // the delivered bytes, not a copy of them.
-                    trace.record(TracedFrame {
-                        sent_at,
-                        src_device: src,
-                        src_port,
-                        dst_device: dst,
-                        dst_port: port,
-                        bytes: bytes.clone(),
-                    });
-                }
                 let kind = if dup { FrameKind::DuplicateDelivered } else { FrameKind::Delivered };
                 let frame_id =
                     self.run_tracer.record_frame(self.now.as_nanos(), kind, &bytes, || {
@@ -503,6 +473,20 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::impair::FlapSchedule;
+    use arpshield_trace::{RecordedFrame, TraceCollector};
+    use std::sync::Arc;
+
+    /// Runs `sim` to `deadline` under a flight recorder that keeps every
+    /// frame, and returns what it captured.
+    fn record_run(sim: &mut Simulator, deadline: SimTime) -> Vec<RecordedFrame> {
+        let collector = Arc::new(TraceCollector::with_capture(usize::MAX));
+        let _guard = arpshield_trace::install(collector.clone());
+        sim.set_tracer(Tracer::for_current_run("run"));
+        sim.run_until(deadline);
+        // Releasing the run's tracer flushes its section.
+        sim.set_tracer(Tracer::disabled());
+        collector.manifest("sim").runs.remove(0).frames
+    }
 
     /// Echoes every received frame back out the same port after 1 ms, up to
     /// a bounce budget encoded in the first byte.
@@ -621,12 +605,10 @@ mod tests {
         let k = sim.add_device(Box::new(Kickoff { budget: 2 }));
         let e = sim.add_device(Box::new(Echo::new()));
         sim.connect(k, PortId(0), e, PortId(0), Duration::from_millis(1)).unwrap();
-        sim.enable_trace();
-        sim.run_until(SimTime::from_secs(1));
-        let trace = sim.trace().unwrap();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace.sent_by(k).count(), 2);
-        assert_eq!(trace.frames()[0].sent_at, SimTime::ZERO);
+        let frames = record_run(&mut sim, SimTime::from_secs(1));
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frames.iter().filter(|f| f.src == "kickoff:0").count(), 2);
+        assert_eq!(frames[0].at_ns, SimTime::from_millis(1).as_nanos(), "stamped at delivery");
     }
 
     #[test]
@@ -719,14 +701,9 @@ mod tests {
             let k = sim.add_device(Box::new(Kickoff { budget: 50 }));
             let e = sim.add_device(Box::new(Echo::new()));
             sim.connect(k, PortId(0), e, PortId(0), Duration::from_micros(137)).unwrap();
-            sim.enable_trace();
-            sim.run_until(SimTime::from_secs(1));
-            let schedule: Vec<(u64, usize)> = sim
-                .trace()
-                .unwrap()
-                .frames()
+            let schedule: Vec<(u64, usize)> = record_run(&mut sim, SimTime::from_secs(1))
                 .iter()
-                .map(|f| (f.sent_at.as_nanos(), f.bytes.len()))
+                .map(|f| (f.at_ns, f.bytes.len()))
                 .collect();
             (sim.wire_stats(), schedule)
         };

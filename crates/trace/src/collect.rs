@@ -425,12 +425,15 @@ mod tests {
         let manifest = collector.manifest("tX");
         assert_eq!(manifest.capture, Some(16));
 
-        let pcap = crate::pcapng::parse(&manifest.to_pcapng()).unwrap();
-        assert_eq!(pcap.interfaces, vec!["run-a".to_string(), "run-b".to_string()]);
-        assert_eq!(pcap.packets.len(), 1);
-        assert_eq!(pcap.packets[0].interface, 1, "frameless runs still hold their interface slot");
-        assert_eq!(pcap.packets[0].ts_ns, 5_000);
-        assert_eq!(pcap.packets[0].comment, "id=1 kind=deliver src=h0:0 dst=sw:1 pinned");
+        let pcap = manifest.to_pcapng();
+        let mut stream = crate::pcapng::PcapngStream::new(pcap.as_slice());
+        let packet = stream.next_packet().unwrap().expect("one packet");
+        assert_eq!(packet.interface, 1, "frameless runs still hold their interface slot");
+        assert_eq!(packet.ts_ns, 5_000);
+        assert_eq!(packet.bytes, &[0xAB; 60][..]);
+        assert_eq!(packet.comment, "id=1 kind=deliver src=h0:0 dst=sw:1 pinned");
+        assert!(stream.next_packet().unwrap().is_none());
+        assert_eq!(stream.interfaces(), ["run-a", "run-b"]);
 
         let index = manifest.to_capture_index();
         assert!(index.starts_with("{\n  \"schema\": \"arpshield-capture/1\""));

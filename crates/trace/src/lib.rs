@@ -41,7 +41,10 @@
 //! scheme verdict — cites the exact frame that caused it. Frames cited
 //! by scheme alerts are *pinned* and survive ring eviction. The
 //! [`RunManifest`] exports captures as standard [`pcapng`] plus an
-//! `arpshield-capture/1` JSON index.
+//! `arpshield-capture/1` JSON index, and [`pcapng::PcapngStream`]
+//! reads them back. The recorder is the workspace's only frame log: a
+//! caller that needs a run's complete delivery schedule sizes the ring
+//! with `TraceCollector::with_capture(usize::MAX)`.
 //!
 //! ## Disabled-path cost
 //!

@@ -5,18 +5,18 @@
 //! after the run label, nanosecond timestamp resolution) keeps
 //! multi-run experiment captures in a single file.
 //!
-//! Two readers share the format logic but differ in contract:
+//! [`PcapngStream`] is the one reader. It pulls blocks from any
+//! [`Read`] source, so memory is bounded by the largest block (at most
+//! [`MAX_STREAM_BLOCK`]) rather than the file. Structural corruption in
+//! bytes that are present is an error; a file cut mid-block (capture
+//! process killed) yields every complete block and then ends with a
+//! warning. Callers that must not accept a partial capture, such as
+//! `reproduce inspect`, treat that warning as fatal.
 //!
-//! - [`parse`] loads a whole buffer and is strict — a truncated tail is
-//!   an error, because arpshield's own artifacts are never truncated.
-//! - [`PcapngStream`] pulls blocks from any [`Read`] source in constant
-//!   memory and is lenient where real captures are messy: a file cut
-//!   mid-block (capture process killed) yields every complete block
-//!   plus a warning instead of an error.
-//!
-//! Both accept multi-section files (a new Section Header Block restarts
-//! the on-wire interface numbering; readers remap packet interface ids
-//! onto one global list, so concatenated captures just work).
+//! Multi-section files are accepted: a new Section Header Block
+//! restarts the on-wire interface numbering, and the reader remaps
+//! packet interface ids onto one global list, so concatenated captures
+//! just work.
 
 use std::io::Read;
 
@@ -121,47 +121,6 @@ impl PcapngWriter {
     }
 }
 
-/// One decoded packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapngPacket {
-    /// Index into [`PcapngFile::interfaces`].
-    pub interface: usize,
-    /// Timestamp in nanoseconds (scaled from the interface's tsresol).
-    pub ts_ns: u64,
-    /// The captured octets.
-    pub bytes: Vec<u8>,
-    /// The packet's `opt_comment`, empty when absent.
-    pub comment: String,
-}
-
-/// A decoded capture: interface names in id order plus every packet.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PcapngFile {
-    /// `if_name` per interface, in interface-id order ("" when unnamed).
-    pub interfaces: Vec<String>,
-    /// All Enhanced Packet Blocks, in file order.
-    pub packets: Vec<PcapngPacket>,
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        let end = end.ok_or_else(|| format!("truncated file at offset {}", self.pos))?;
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-}
-
 /// Scans a block's options region for `(code, value)` pairs.
 fn options(mut region: &[u8]) -> Vec<(u16, Vec<u8>)> {
     let mut found = Vec::new();
@@ -198,98 +157,6 @@ fn tsresol_to_ns(tsresol: u8) -> u64 {
             1_000_000_000u64 >> exp
         }
     }
-}
-
-/// Parses a little-endian pcapng capture. Unknown block types are
-/// skipped, which is what lets third-party tools' output (or future
-/// writers) still load.
-pub fn parse(data: &[u8]) -> Result<PcapngFile, String> {
-    let mut r = Reader { data, pos: 0 };
-    let mut file = PcapngFile::default();
-    let mut tsresols: Vec<u8> = Vec::new();
-    let mut seen_shb = false;
-    // Interface ids restart at every Section Header Block; packets are
-    // remapped onto the global interface list via this base.
-    let mut section_base = 0usize;
-    while r.pos < data.len() {
-        let block_start = r.pos;
-        let block_type = r.u32()?;
-        let total_len = r.u32()? as usize;
-        if total_len < 12 || total_len % 4 != 0 {
-            return Err(format!("bad block length {total_len} at offset {block_start}"));
-        }
-        let body = r.take(total_len - 12)?;
-        let trailer = r.u32()? as usize;
-        if trailer != total_len {
-            return Err(format!("mismatched block trailer at offset {block_start}"));
-        }
-        if !seen_shb && block_type != SHB_TYPE {
-            return Err("file does not start with a section header block".to_string());
-        }
-        match block_type {
-            SHB_TYPE => {
-                if body.len() < 4 {
-                    return Err("truncated section header".to_string());
-                }
-                let magic = u32::from_le_bytes(body[..4].try_into().expect("4 bytes"));
-                if magic != BYTE_ORDER_MAGIC {
-                    return Err(format!(
-                        "unsupported byte-order magic {magic:#010x} (expected little-endian)"
-                    ));
-                }
-                seen_shb = true;
-                section_base = file.interfaces.len();
-            }
-            IDB_TYPE => {
-                if body.len() < 8 {
-                    return Err("truncated interface description block".to_string());
-                }
-                let opts = options(&body[8..]);
-                let name = opts
-                    .iter()
-                    .find(|(code, _)| *code == OPT_IF_NAME)
-                    .map(|(_, v)| String::from_utf8_lossy(v).into_owned())
-                    .unwrap_or_default();
-                let tsresol = opts
-                    .iter()
-                    .find(|(code, _)| *code == OPT_IF_TSRESOL)
-                    .and_then(|(_, v)| v.first().copied())
-                    .unwrap_or(6); // the spec default: microseconds
-                file.interfaces.push(name);
-                tsresols.push(tsresol);
-            }
-            EPB_TYPE => {
-                if body.len() < 20 {
-                    return Err("truncated enhanced packet block".to_string());
-                }
-                let word =
-                    |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
-                let interface = section_base + word(0) as usize;
-                if interface >= file.interfaces.len() {
-                    return Err(format!("packet references unknown interface {}", word(0)));
-                }
-                let ts = (u64::from(word(4)) << 32) | u64::from(word(8));
-                let captured = word(12) as usize;
-                if body.len() < 20 + captured {
-                    return Err("packet data exceeds block".to_string());
-                }
-                let bytes = body[20..20 + captured].to_vec();
-                let opts_at = 20 + captured + pad4(captured);
-                let comment = options(&body[opts_at.min(body.len())..])
-                    .into_iter()
-                    .find(|(code, _)| *code == OPT_COMMENT)
-                    .map(|(_, v)| String::from_utf8_lossy(&v).into_owned())
-                    .unwrap_or_default();
-                let ts_ns = ts.saturating_mul(tsresol_to_ns(tsresols[interface]));
-                file.packets.push(PcapngPacket { interface, ts_ns, bytes, comment });
-            }
-            _ => {} // unknown block: skip
-        }
-    }
-    if !seen_shb {
-        return Err("empty capture".to_string());
-    }
-    Ok(file)
 }
 
 /// Blocks larger than this are treated as corruption by the streaming
@@ -342,8 +209,8 @@ enum Step {
 ///
 /// Memory use is bounded by the largest single block, independent of
 /// file length — the ingest path runs arbitrarily large captures (or
-/// stdin pipes) through it. See the module docs for how its truncation
-/// contract differs from [`parse`].
+/// stdin pipes) through it. See the module docs for its truncation
+/// contract.
 #[derive(Debug)]
 pub struct PcapngStream<R> {
     input: R,
@@ -635,36 +502,45 @@ mod tests {
         assert_eq!(bytes.len(), shb_len + idb_len + epb_len);
     }
 
+    /// One packet as the stream yields it: `(interface, ts_ns, bytes, comment)`.
+    type Packet = (usize, u64, Vec<u8>, String);
+
+    /// Drains a stream into owned packets, its interfaces, warnings and
+    /// stats.
+    #[allow(clippy::type_complexity)]
+    fn collect_stream(
+        data: &[u8],
+    ) -> Result<(Vec<Packet>, Vec<String>, Vec<String>, StreamStats), String> {
+        let mut stream = PcapngStream::new(data);
+        let mut packets = Vec::new();
+        while let Some(p) = stream.next_packet()? {
+            packets.push((p.interface, p.ts_ns, p.bytes.to_vec(), p.comment.to_string()));
+        }
+        Ok((packets, stream.interfaces().to_vec(), stream.warnings().to_vec(), stream.stats()))
+    }
+
     #[test]
     fn roundtrip_multiple_interfaces() {
         let mut w = PcapngWriter::new("arpshield");
         let a = w.add_interface("run a");
         let b = w.add_interface("run b");
-        w.add_packet(a, 42, &[1, 2, 3, 4, 5, 6], "id=1 kind=deliver");
-        w.add_packet(b, u64::from(u32::MAX) + 7, &[9; 60], "");
-        w.add_packet(a, 43, &[7, 8], "id=2 kind=drop.lost pinned");
-        let file = parse(&w.finish()).unwrap();
-        assert_eq!(file.interfaces, vec!["run a".to_string(), "run b".to_string()]);
-        assert_eq!(file.packets.len(), 3);
-        assert_eq!(file.packets[0].interface, 0);
-        assert_eq!(file.packets[0].ts_ns, 42);
-        assert_eq!(file.packets[0].bytes, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(file.packets[0].comment, "id=1 kind=deliver");
-        assert_eq!(file.packets[1].interface, 1);
-        assert_eq!(file.packets[1].ts_ns, u64::from(u32::MAX) + 7, "64-bit timestamps survive");
-        assert_eq!(file.packets[1].comment, "");
-        assert_eq!(file.packets[2].comment, "id=2 kind=drop.lost pinned");
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse(&[]).is_err());
-        assert!(parse(&[0u8; 16]).is_err(), "not an SHB");
-        let mut w = PcapngWriter::new("x");
-        w.add_interface("i");
-        let mut bytes = w.finish();
-        bytes.truncate(bytes.len() - 2);
-        assert!(parse(&bytes).is_err(), "truncated trailer must not parse");
+        let given: Vec<Packet> = vec![
+            (0, 42, vec![1, 2, 3, 4, 5, 6], "id=1 kind=deliver".into()),
+            (1, u64::from(u32::MAX) + 7, vec![9; 60], String::new()),
+            (0, 43, vec![7, 8], "id=2 kind=drop.lost pinned".into()),
+        ];
+        for (interface, ts_ns, bytes, comment) in &given {
+            w.add_packet([a, b][*interface], *ts_ns, bytes, comment);
+        }
+        let bytes = w.finish();
+        let (packets, interfaces, warnings, stats) = collect_stream(&bytes).unwrap();
+        assert_eq!(interfaces, vec!["run a".to_string(), "run b".to_string()]);
+        assert_eq!(packets, given, "64-bit timestamps, octets and comments survive");
+        assert!(warnings.is_empty());
+        assert_eq!(stats.sections, 1);
+        assert_eq!(stats.blocks, 6);
+        assert_eq!(stats.packets, 3);
+        assert_eq!(stats.bytes, bytes.len() as u64);
     }
 
     #[test]
@@ -673,40 +549,6 @@ mod tests {
         assert_eq!(tsresol_to_ns(6), 1_000);
         assert_eq!(tsresol_to_ns(0), 1_000_000_000);
         assert_eq!(tsresol_to_ns(0x80 | 10), 976_562, "2^-10 s in whole ns");
-    }
-
-    /// Collects a stream into the whole-buffer representation.
-    fn collect_stream(data: &[u8]) -> Result<(PcapngFile, Vec<String>, StreamStats), String> {
-        let mut stream = PcapngStream::new(data);
-        let mut file = PcapngFile::default();
-        while let Some(packet) = stream.next_packet()? {
-            file.packets.push(PcapngPacket {
-                interface: packet.interface,
-                ts_ns: packet.ts_ns,
-                bytes: packet.bytes.to_vec(),
-                comment: packet.comment.to_string(),
-            });
-        }
-        file.interfaces = stream.interfaces().to_vec();
-        Ok((file, stream.warnings().to_vec(), stream.stats()))
-    }
-
-    #[test]
-    fn streaming_matches_whole_buffer_parse() {
-        let mut w = PcapngWriter::new("arpshield");
-        let a = w.add_interface("run a");
-        let b = w.add_interface("run b");
-        w.add_packet(a, 42, &[1, 2, 3, 4, 5, 6], "id=1 kind=deliver");
-        w.add_packet(b, u64::from(u32::MAX) + 7, &[9; 60], "");
-        w.add_packet(a, 43, &[7, 8], "id=2 kind=drop.lost pinned");
-        let bytes = w.finish();
-        let whole = parse(&bytes).unwrap();
-        let (streamed, warnings, stats) = collect_stream(&bytes).unwrap();
-        assert_eq!(streamed, whole);
-        assert!(warnings.is_empty());
-        assert_eq!(stats.sections, 1);
-        assert_eq!(stats.packets, 3);
-        assert_eq!(stats.bytes, bytes.len() as u64);
     }
 
     #[test]
@@ -718,13 +560,11 @@ mod tests {
         let full = w.finish();
         // Cut the file in the middle of the last packet block.
         for cut in [full.len() - 2, full.len() - 20, full.len() - 45] {
-            let (streamed, warnings, _) = collect_stream(&full[..cut]).unwrap();
-            assert_eq!(streamed.packets.len(), 1, "complete packets survive a cut at {cut}");
-            assert_eq!(streamed.packets[0].bytes, vec![0xAA; 20]);
+            let (packets, _, warnings, _) = collect_stream(&full[..cut]).unwrap();
+            assert_eq!(packets.len(), 1, "complete packets survive a cut at {cut}");
+            assert_eq!(packets[0].2, vec![0xAA; 20]);
             assert_eq!(warnings.len(), 1, "the cut is surfaced as a warning");
             assert!(warnings[0].contains("truncated"), "{}", warnings[0]);
-            // The strict whole-buffer parse still refuses the same bytes.
-            assert!(parse(&full[..cut]).is_err());
         }
     }
 
@@ -743,15 +583,13 @@ mod tests {
         let mut bytes = first.finish();
         bytes.extend_from_slice(&second.finish());
 
-        let whole = parse(&bytes).expect("multi-section files parse");
-        assert_eq!(whole.interfaces, vec!["alpha", "beta", "gamma"]);
+        let (packets, interfaces, warnings, stats) = collect_stream(&bytes).unwrap();
+        assert_eq!(interfaces, vec!["alpha", "beta", "gamma"]);
         assert_eq!(
-            whole.packets.iter().map(|p| p.interface).collect::<Vec<_>>(),
+            packets.iter().map(|p| p.0).collect::<Vec<_>>(),
             vec![0, 2, 1],
             "second-section ids are remapped past the first section's"
         );
-        let (streamed, warnings, stats) = collect_stream(&bytes).unwrap();
-        assert_eq!(streamed, whole);
         assert!(warnings.is_empty());
         assert_eq!(stats.sections, 2);
     }

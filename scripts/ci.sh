@@ -8,11 +8,11 @@
 # the t5r loss-resilience sweep, a `--trace` smoke (manifest emission +
 # validation), a `--profile` smoke (span profile emission + report
 # rendering), a `--capture` smoke (pcapng + index emission, forensic
-# `inspect` timeline with verdict provenance), an `ingest` smoke
-# (capture re-ingest through the standalone detector, checking live vs
-# re-ingested verdict-counter parity), and a one-iteration smoke run of
-# every bench (which also exercises the results/bench/*.json emission
-# path).
+# `inspect` timeline with verdict provenance, truncated captures
+# refused), an `ingest` smoke (capture re-ingest through the standalone
+# detector, checking live vs re-ingested verdict-counter parity), and a
+# one-iteration smoke run of every bench (which also exercises the
+# results/bench/*.json emission path).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -81,6 +81,14 @@ done
 ./target/release/reproduce inspect "$capture_out/capture/t3.pcapng" \
     --verdict binding_changed >"$capture_out/t3.timeline"
 grep -q "scheme.verdict" "$capture_out/t3.timeline"
+# Inspect stays strict: a capture cut mid-block must fail, naming the cut.
+t2_bytes="$(wc -c <"$capture_out/capture/t2.pcapng")"
+head -c "$((t2_bytes - 7))" "$capture_out/capture/t2.pcapng" >"$capture_out/cut.pcapng"
+if ./target/release/reproduce inspect "$capture_out/cut.pcapng" >/dev/null 2>"$capture_out/cut.err"; then
+    echo "inspect accepted a truncated capture" >&2
+    exit 1
+fi
+grep -q "truncated" "$capture_out/cut.err"
 rm -rf "$capture_out"
 
 echo "==> reproduce t6s --defend smoke (scale sweep, thread/profile byte identity)"

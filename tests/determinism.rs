@@ -1,6 +1,7 @@
 //! Reproducibility: the whole point of a simulation-based evaluation is
 //! that every number regenerates bit-identically from its seed.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use arpshield::analysis::experiment::{
@@ -11,6 +12,7 @@ use arpshield::analysis::metrics::score_attack_run;
 use arpshield::analysis::scenario::{AttackScenario, ScenarioConfig};
 use arpshield::attacks::PoisonVariant;
 use arpshield::schemes::SchemeKind;
+use arpshield::trace::{install, TraceCollector};
 
 fn full_run_fingerprint(seed: u64) -> (String, u64, u64) {
     let config = ScenarioConfig::new(seed)
@@ -36,14 +38,17 @@ fn different_seeds_differ_in_detail() {
     let b = full_run_fingerprint(2);
     assert_eq!(a.0, b.0, "qualitative outcome is seed-stable");
 
-    // ...while micro-timing genuinely varies: the traced frame schedule
-    // (jittered app starts) differs between seeds.
+    // ...while micro-timing genuinely varies: the captured delivery
+    // schedule (jittered app starts) differs between seeds.
     let schedule = |seed: u64| -> Vec<u64> {
-        let mut lan =
-            arpshield::analysis::scenario::lan::build(ScenarioConfig::new(seed).with_hosts(3));
-        lan.sim.enable_trace();
-        lan.sim.run_until(arpshield::netsim::SimTime::from_secs(2));
-        lan.sim.trace().unwrap().frames().iter().take(30).map(|f| f.sent_at.as_nanos()).collect()
+        let collector = Arc::new(TraceCollector::with_capture(usize::MAX));
+        {
+            let _guard = install(collector.clone());
+            let mut lan =
+                arpshield::analysis::scenario::lan::build(ScenarioConfig::new(seed).with_hosts(3));
+            lan.sim.run_until(arpshield::netsim::SimTime::from_secs(2));
+        }
+        collector.manifest("schedule").runs[0].frames.iter().take(30).map(|f| f.at_ns).collect()
     };
     assert_ne!(schedule(1), schedule(2), "frame timing must vary with seed");
     assert_eq!(schedule(3), schedule(3), "and replay identically for one seed");

